@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -29,8 +28,7 @@ from .extensions import (
 )
 from .model import TruncNormal, UNIFORM, GameParams, StrategyProfile, sample_types, validate_types
 from .subsidy import planner
-from .sweep import SweepRecord, law_of_few_scan, sweep_k
-from .metrics import metrics_record
+from .sweep import SweepRecord, _record_for, law_of_few_scan, sweep_k
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -195,24 +193,11 @@ def _write_json(path: str, body: dict) -> None:
         fh.write(json.dumps(_round_sig(body), sort_keys=True, indent=1) + "\n")
 
 
-def _single_record(k: float, profile, report, params) -> SweepRecord:
-    m = metrics_record(profile, params)
-    return SweepRecord(
-        k=float(k),
-        classification=report.classification,
-        contributor_count=m.contributor_count,
-        welfare_sum=m.welfare_sum,
-        welfare_avg=m.welfare_avg,
-        polarization=m.polarization,
-        contributor_types=tuple(float(params.types[i]) for i in report.contributors),
-    )
-
-
 def _cmd_solve(cfg, params, k_grid, mode, fmt, out):
     if k_grid is not None:
         raise ConfigError("solve takes a single k, not a grid")
     profile, report = welfare_max_equilibrium(params, mode)
-    rec = _single_record(params.k, profile, report, params)
+    rec = _record_for(params.k, profile, report, params)
     emit_report([rec], fmt, out, profiles=[profile] if fmt == "json" else None)
     return EXIT_STRUCTURE if rec.classification == STRUCTURE_VIOLATION else EXIT_OK
 
@@ -243,7 +228,7 @@ def _cmd_verify(cfg, params, k_grid, mode, fmt, out):
         profile = _profile_from_payload(entry["profile"], params.n)
         k = float(entry.get("k", params.k))
         rep = verify_nash(profile, params.with_k(k), mode)
-        records.append(_single_record(k, profile, rep, params.with_k(k)))
+        records.append(_record_for(k, profile, rep, params.with_k(k)))
         profiles.append(profile)
     if not records:
         raise ConfigError("no records to verify")
@@ -357,18 +342,6 @@ _COMMANDS = {
 }
 
 
-def thread_cap() -> int:
-    """Parallelism cap from NETPUBLIC_THREADS (0 = auto); engine runs serial."""
-    raw = os.environ.get("NETPUBLIC_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"NETPUBLIC_THREADS must be an integer, got {raw!r}") from exc
-    if cap < 0:
-        raise ConfigError("NETPUBLIC_THREADS must be non-negative")
-    return cap
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="netpublic",
@@ -382,7 +355,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        thread_cap()
         with open(args.config, encoding="utf-8") as fh:
             cfg = json.load(fh)
         if not isinstance(cfg, dict):

@@ -197,33 +197,51 @@ def _greedy_independent(params: GameParams) -> StrategyProfile:
 
 
 def _attach_to_core(prof: StrategyProfile, core: tuple[int, ...], params: GameParams) -> None:
-    """Give every non-core player their best subset of links into the core."""
-    core_set = set(core)
-    options = []
-    for r in range(len(core) + 1):
-        options.extend(itertools.combinations(sorted(core_set), r))
-    for p in range(params.n):
-        if p in core_set:
-            continue
-        best_u, best_links, best_xy = -np.inf, (), (params.x_hat[p], params.y_hat[p])
-        for links in options:
-            xi, yi = optimal_contributions(p, list(links), prof, params)
-            x_bar = float(prof.x[list(links)].sum())
-            y_bar = float(prof.y[list(links)].sum())
-            t = params.types[p]
-            spec = params.benefit
-            bx = t * float(spec.value(xi + x_bar)) if t > 0.0 else 0.0
-            by = (1.0 - t) * float(spec.value(yi + y_bar)) if t < 1.0 else 0.0
-            u = bx + by - params.cost_vec[p] * (xi + yi) - params.k * len(links)
-            if u > best_u + EPS_DEV:
-                best_u, best_links, best_xy = u, links, (xi, yi)
-        prof.set_strategy(p, list(best_links), *best_xy)
+    """Give every non-core player their best subset of links into the core.
+
+    One array pass over all non-core players per link option, in (size, lex)
+    order, replacing a player's choice only when an option beats it by more
+    than EPS_DEV.  Players are independent here because links only point into
+    the core and the pass never changes the core's contributions.
+    """
+    core = sorted(core)
+    outside = np.ones(params.n, dtype=bool)
+    outside[core] = False
+    others = np.flatnonzero(outside)
+    t = params.types[others]
+    xh, yh = params.x_hat[others], params.y_hat[others]
+    cost = params.cost_vec[others]
+    spec = params.benefit
+    options = [links for r in range(len(core) + 1) for links in itertools.combinations(core, r)]
+    best_u = np.full(others.size, -np.inf)
+    best_opt = np.zeros(others.size, dtype=int)
+    best_x, best_y = xh.copy(), yh.copy()
+    for o, links in enumerate(options):
+        x_bar = float(prof.x[list(links)].sum())
+        y_bar = float(prof.y[list(links)].sum())
+        xi = np.maximum(xh - x_bar, 0.0)
+        yi = np.maximum(yh - y_bar, 0.0)
+        # zero-weight goods count 0 even where the log family gives -inf
+        with np.errstate(invalid="ignore"):
+            bx = np.where(t > 0.0, t * spec.value(xi + x_bar), 0.0)
+            by = np.where(t < 1.0, (1.0 - t) * spec.value(yi + y_bar), 0.0)
+        u = bx + by - cost * (xi + yi) - params.k * len(links)
+        better = u > best_u + EPS_DEV
+        best_u[better] = u[better]
+        best_opt[better] = o
+        best_x[better] = xi[better]
+        best_y[better] = yi[better]
+    prof.g[others] = 0
+    for o, links in enumerate(options):
+        rows = others[best_opt == o]
+        for j in links:
+            prof.g[rows, j] = 1
+    prof.x[others] = best_x
+    prof.y[others] = best_y
 
 
-def construct_collaborative(
-    params: GameParams, i: int, j: int, mode: str = EXACT
-) -> StrategyProfile | None:
-    """Two-player core with mutual links, each fully specialized in one good."""
+def _build_collaborative(params: GameParams, i: int, j: int) -> StrategyProfile | None:
+    """Unverified collaborative template; None when a core link cannot pay."""
     if not params.types[i] > 0.5 > params.types[j]:
         raise ValueError("need t_i > 1/2 > t_j")
     # each core player must find their own link worth its fee, or the
@@ -236,17 +254,23 @@ def construct_collaborative(
     prof.set_strategy(i, [j], params.x_hat[i], 0.0)
     prof.set_strategy(j, [i], 0.0, params.y_hat[j])
     _attach_to_core(prof, (i, j), params)
-    report = verify_nash(prof, params, mode)
-    if report.classification == COLLABORATIVE:
+    return prof
+
+
+def construct_collaborative(
+    params: GameParams, i: int, j: int, mode: str = EXACT
+) -> StrategyProfile | None:
+    """Two-player core with mutual links, each fully specialized in one good."""
+    prof = _build_collaborative(params, i, j)
+    if prof is not None and verify_nash(prof, params, mode).classification == COLLABORATIVE:
         return prof
     return None
 
 
-def construct_partially_collaborative(
-    params: GameParams, a: int, b: int, mode: str = EXACT
+def _build_partially_collaborative(
+    params: GameParams, a: int, b: int
 ) -> StrategyProfile | None:
-    """Two-player core where only b sponsors: a provides its full autarky
-    bundle, b free rides on a's x and tops up the y gap."""
+    """Unverified partially-collaborative template; None when b's link cannot pay."""
     if not params.types[a] > 0.5 > params.types[b]:
         raise ValueError("need t_a > 1/2 > t_b")
     gap = params.y_hat[b] - params.y_hat[a]
@@ -260,8 +284,19 @@ def construct_partially_collaborative(
     prof.set_strategy(a, [], params.x_hat[a], params.y_hat[a])
     prof.set_strategy(b, [a], 0.0, gap)
     _attach_to_core(prof, (a, b), params)
-    report = verify_nash(prof, params, mode)
-    if report.classification == PARTIALLY_COLLABORATIVE:
+    return prof
+
+
+def construct_partially_collaborative(
+    params: GameParams, a: int, b: int, mode: str = EXACT
+) -> StrategyProfile | None:
+    """Two-player core where only b sponsors: a provides its full autarky
+    bundle, b free rides on a's x and tops up the y gap."""
+    prof = _build_partially_collaborative(params, a, b)
+    if (
+        prof is not None
+        and verify_nash(prof, params, mode).classification == PARTIALLY_COLLABORATIVE
+    ):
         return prof
     return None
 
@@ -455,6 +490,41 @@ def _profile_key(prof: StrategyProfile) -> bytes:
     return prof.g.tobytes() + np.round(prof.x, 10).tobytes() + np.round(prof.y, 10).tobytes()
 
 
+def _candidates(
+    params: GameParams, mode: str
+) -> list[tuple[StrategyProfile, str | None]]:
+    """Every unverified candidate, tagged with the class its template needs.
+
+    The tag is None for the empty profile, the independent construction and
+    the dynamics results, which count whatever class they verify as.
+    """
+    out: list[tuple[StrategyProfile, str | None]] = [
+        (StrategyProfile.isolated(params), None),
+        (construct_independent(params), None),
+    ]
+    above, below = _moderate_side_candidates(params)
+    for a in above:
+        for b in below:
+            pc = _build_partially_collaborative(params, a, b)
+            if pc is not None:
+                out.append((pc, PARTIALLY_COLLABORATIVE))
+            co = _build_collaborative(params, a, b)
+            if co is not None:
+                out.append((co, COLLABORATIVE))
+
+    for s in range(_DYNAMICS_STARTS):
+        if s == 0:
+            start = StrategyProfile.isolated(params)
+        else:
+            start = _anchored_start(params, s / _DYNAMICS_STARTS)
+        config = DynamicsConfig(max_rounds=60, order=RANDOM_PERMUTATION, seed=s, mode=mode)
+        try:
+            out.append((best_response_dynamics(start, params, config), None))
+        except NonConvergenceError:
+            continue
+    return out
+
+
 def welfare_max_equilibrium(
     params: GameParams, mode: str = EXACT
 ) -> tuple[StrategyProfile, EquilibriumReport]:
@@ -464,47 +534,49 @@ def welfare_max_equilibrium(
     core templates over moderate pairs, and best-response dynamics from eight
     seeded starts (one empty, seven anchored at interior type quantiles).
     Ties go to independent networks, then to fewer contributors.
+
+    Candidates are built unverified and verified lazily, in descending
+    welfare order, one ``verify_nash`` per distinct profile.  A template
+    counts only if it verifies as its own class; any other candidate counts
+    if it verifies at all.  Verification stops once every unverified
+    candidate lies more than the tie tolerance below the lowest accepted
+    welfare: such a candidate can neither beat nor tie any accepted one, so
+    the sequential tie scan, replayed over the accepted candidates in
+    candidate order, returns what scanning every candidate would.
     """
-    candidates: list[StrategyProfile] = [
-        StrategyProfile.isolated(params),
-        construct_independent(params),
-    ]
+    candidates = _candidates(params, mode)
+    w = [welfare(prof, params)[0] for prof, _ in candidates]
+    # candidates sharing a profile key share one report; as in a plain scan,
+    # the first of them that counts stands for the group
+    groups: dict[bytes, list[int]] = {}
+    for idx, (prof, _) in enumerate(candidates):
+        groups.setdefault(_profile_key(prof), []).append(idx)
+    ranked = sorted(
+        ((max(w[i] for i in members), members) for members in groups.values()),
+        key=lambda item: -item[0],
+    )
 
-    above, below = _moderate_side_candidates(params)
-    for a in above:
-        for b in below:
-            pc = construct_partially_collaborative(params, a, b, mode)
-            if pc is not None:
-                candidates.append(pc)
-            co = construct_collaborative(params, a, b, mode)
-            if co is not None:
-                candidates.append(co)
-
-    for s in range(_DYNAMICS_STARTS):
-        if s == 0:
-            start = StrategyProfile.isolated(params)
-        else:
-            start = _anchored_start(params, s / _DYNAMICS_STARTS)
-        config = DynamicsConfig(max_rounds=60, order=RANDOM_PERMUTATION, seed=s, mode=mode)
-        try:
-            candidates.append(best_response_dynamics(start, params, config))
-        except NonConvergenceError:
-            continue
-
-    best: tuple[float, StrategyProfile, EquilibriumReport] | None = None
-    seen: set[bytes] = set()
-    for prof in candidates:
-        key = _profile_key(prof)
-        if key in seen:
-            continue
-        seen.add(key)
-        report = verify_nash(prof, params, mode)
+    accepted: list[tuple[int, EquilibriumReport]] = []
+    lowest = np.inf
+    for top, members in ranked:
+        if accepted and top < lowest - _WELFARE_TIE_TOL:
+            break
+        report = verify_nash(candidates[members[0]][0], params, mode)
         if report.classification == NON_EQUILIBRIUM:
             continue
-        w = welfare(prof, params)[0]
-        if best is None or w > best[0] + _WELFARE_TIE_TOL:
-            best = (w, prof, report)
-        elif abs(w - best[0]) <= _WELFARE_TIE_TOL:
+        first = next(
+            (i for i in members if candidates[i][1] in (None, report.classification)), None
+        )
+        if first is not None:
+            accepted.append((first, report))
+            lowest = min(lowest, w[first])
+
+    best: tuple[float, StrategyProfile, EquilibriumReport] | None = None
+    for idx, report in sorted(accepted, key=lambda item: item[0]):
+        prof, wi = candidates[idx][0], w[idx]
+        if best is None or wi > best[0] + _WELFARE_TIE_TOL:
+            best = (wi, prof, report)
+        elif abs(wi - best[0]) <= _WELFARE_TIE_TOL:
             cur_rep = best[2]
             better_class = (
                 report.classification == INDEPENDENT
@@ -515,7 +587,7 @@ def welfare_max_equilibrium(
                 and len(report.contributors) < len(cur_rep.contributors)
             )
             if better_class or same_class_fewer:
-                best = (w, prof, report)
+                best = (wi, prof, report)
     if best is None:
         raise RuntimeError("no candidate survived verification")
     return best[1], best[2]

@@ -169,14 +169,14 @@ class GameParams:
 
     def __post_init__(self):
         object.__setattr__(self, "types", validate_types(self.types))
-        if self.c <= 0 or self.k <= 0:
-            raise ValueError("c and k must be positive")
+        if not (math.isfinite(self.c) and self.c > 0 and math.isfinite(self.k) and self.k > 0):
+            raise ValueError("c and k must be finite and positive")
         if self.costs is not None:
             costs = np.asarray(self.costs, dtype=float)
             if costs.shape != self.types.shape:
                 raise ValueError("costs must match the type vector in shape")
-            if np.any(costs <= 0):
-                raise ValueError("all per-player costs must be positive")
+            if not np.all(np.isfinite(costs) & (costs > 0)):
+                raise ValueError("all per-player costs must be finite and positive")
             object.__setattr__(self, "costs", costs)
 
     @property

@@ -169,8 +169,13 @@ def test_two_way_extension_size_limit_is_config_error(tmp_path):
     assert main(["--config", _write(tmp_path / "c.json", cfg)]) == 2
 
 
-def test_threads_env_validated(tmp_path, monkeypatch):
-    monkeypatch.setenv("NETPUBLIC_THREADS", "lots")
-    cfg = _base_config()
+def test_non_finite_cost_is_config_error(tmp_path):
+    cfg = _base_config(c=float("nan"))
+    cfg["output"]["path"] = str(tmp_path / "o.json")
+    assert main(["--config", _write(tmp_path / "c.json", cfg)]) == 2
+
+
+def test_non_finite_link_fee_is_config_error(tmp_path):
+    cfg = _base_config(k=float("inf"))
     cfg["output"]["path"] = str(tmp_path / "o.json")
     assert main(["--config", _write(tmp_path / "c.json", cfg)]) == 2

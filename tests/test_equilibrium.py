@@ -7,9 +7,12 @@ import pytest
 from scipy import optimize
 
 from netpublic import (
+    EPS_DEV,
     BenefitSpec,
     DynamicsConfig,
+    EquilibriumReport,
     GameParams,
+    NonConvergenceError,
     StrategyProfile,
     UNIFORM,
     best_response_dynamics,
@@ -25,8 +28,9 @@ from netpublic import (
     verify_nash,
     welfare_max_equilibrium,
 )
+from netpublic import equilibrium as eq
 from netpublic.metrics import welfare
-from tests.conftest import random_scenario
+from tests.conftest import FAMILIES, random_scenario, random_types
 
 
 def _params(types, c=1.0, k=0.4, spec=None):
@@ -259,6 +263,57 @@ def test_template_preconditions():
         construct_partially_collaborative(params, 1, 2)
 
 
+def _attach_to_core_reference(prof, core, params):
+    """Player-by-player loop over link options, the rule the array pass keeps."""
+    core_set = set(core)
+    options = []
+    for r in range(len(core) + 1):
+        options.extend(itertools.combinations(sorted(core_set), r))
+    for p in range(params.n):
+        if p in core_set:
+            continue
+        best_u, best_links, best_xy = -np.inf, (), (params.x_hat[p], params.y_hat[p])
+        for links in options:
+            x_bar = float(prof.x[list(links)].sum())
+            y_bar = float(prof.y[list(links)].sum())
+            xi = max(params.x_hat[p] - x_bar, 0.0)
+            yi = max(params.y_hat[p] - y_bar, 0.0)
+            t = params.types[p]
+            spec = params.benefit
+            bx = t * float(spec.value(xi + x_bar)) if t > 0.0 else 0.0
+            by = (1.0 - t) * float(spec.value(yi + y_bar)) if t < 1.0 else 0.0
+            u = bx + by - params.cost_vec[p] * (xi + yi) - params.k * len(links)
+            if u > best_u + EPS_DEV:
+                best_u, best_links, best_xy = u, links, (xi, yi)
+        prof.set_strategy(p, list(best_links), *best_xy)
+
+
+@pytest.mark.parametrize("family", range(len(FAMILIES)))
+def test_attach_to_core_matches_reference_loop(family):
+    rng = np.random.default_rng(100 + family)
+    for trial in range(40):
+        n = int(rng.integers(4, 12))
+        types = random_types(rng, n)
+        c = float(rng.uniform(0.5, 2.0))
+        params = GameParams(types, c, 1.0, FAMILIES[family])
+        params = params.with_k(float(rng.uniform(0.02, 1.2)) * k_tilde(params))
+        core = tuple(sorted(rng.choice(n, size=int(rng.integers(1, 4)), replace=False).tolist()))
+        # random contributions and links everywhere, with some core players
+        # providing nothing of a good, so t = 0 / t = 1 players can meet zero
+        # consumption of the good they ignore
+        x = rng.uniform(0.0, 2.0, n) * (rng.random(n) < 0.7)
+        y = rng.uniform(0.0, 2.0, n) * (rng.random(n) < 0.7)
+        g = (rng.random((n, n)) < 0.3).astype(np.int8)
+        np.fill_diagonal(g, 0)
+        start = StrategyProfile(x, y, g)
+        want, got = start.copy(), start.copy()
+        _attach_to_core_reference(want, core, params)
+        eq._attach_to_core(got, core, params)
+        assert np.array_equal(got.g, want.g), (trial, core)
+        assert np.array_equal(got.x, want.x), (trial, core)
+        assert np.array_equal(got.y, want.y), (trial, core)
+
+
 # ----------------------------------------------------------------------
 # contribution fixed point
 # ----------------------------------------------------------------------
@@ -451,3 +506,158 @@ def test_collaborative_classes_have_two_contributors_and_no_isolated(rng):
                 assert len(report.contributors) == 2
                 assert not report.isolated
     assert seen > 0, "sampling never produced a collaborative-class equilibrium"
+
+
+# ----------------------------------------------------------------------
+# lazy verification against the eager scan
+# ----------------------------------------------------------------------
+
+def _eager_scan(candidates, params, mode):
+    """Verify every candidate in order; ties to Independent, then fewer contributors."""
+    best = None
+    seen = set()
+    for prof in candidates:
+        key = eq._profile_key(prof)
+        if key in seen:
+            continue
+        seen.add(key)
+        report = eq.verify_nash(prof, params, mode)
+        if report.classification == "NonEquilibrium":
+            continue
+        w = eq.welfare(prof, params)[0]
+        if best is None or w > best[0] + eq._WELFARE_TIE_TOL:
+            best = (w, prof, report)
+        elif abs(w - best[0]) <= eq._WELFARE_TIE_TOL:
+            cur = best[2]
+            better_class = (
+                report.classification == "Independent" and cur.classification != "Independent"
+            )
+            same_class_fewer = (
+                report.classification == cur.classification
+                and len(report.contributors) < len(cur.contributors)
+            )
+            if better_class or same_class_fewer:
+                best = (w, prof, report)
+    return best[1], best[2]
+
+
+def _eager_welfare_max(params, mode):
+    """The candidate list rebuilt from the public constructors, scanned eagerly."""
+    candidates = [StrategyProfile.isolated(params), construct_independent(params)]
+    above, below = eq._moderate_side_candidates(params)
+    for a in above:
+        for b in below:
+            for construct in (construct_partially_collaborative, construct_collaborative):
+                prof = construct(params, a, b, mode)
+                if prof is not None:
+                    candidates.append(prof)
+    for s in range(eq._DYNAMICS_STARTS):
+        if s == 0:
+            start = StrategyProfile.isolated(params)
+        else:
+            start = eq._anchored_start(params, s / eq._DYNAMICS_STARTS)
+        config = DynamicsConfig(max_rounds=60, order="random_permutation", seed=s, mode=mode)
+        try:
+            candidates.append(best_response_dynamics(start, params, config))
+        except NonConvergenceError:
+            continue
+    return _eager_scan(candidates, params, mode)
+
+
+def _lazy_games():
+    """24 seeded games: the three families, n from 5 to 30, and two-core-rich
+    evenly spaced societies where many templates fail their class check."""
+    rng = np.random.default_rng(20261018)
+    games = []
+    for idx in range(20):
+        n = 5 + (idx * 25) // 19
+        types = random_types(rng, n)
+        spec = FAMILIES[idx % 3]
+        probe = GameParams(types, float(rng.uniform(0.5, 2.0)), 1.0, spec)
+        games.append(probe.with_k(float(rng.uniform(0.02, 1.2)) * k_tilde(probe)))
+    for n, k in ((21, 0.4), (21, 0.2), (14, 0.3), (9, 0.25)):
+        games.append(GameParams(np.linspace(0.0, 1.0, n), 1.0, k, BenefitSpec.log()))
+    return games
+
+
+@pytest.mark.parametrize("game", range(24))
+def test_lazy_welfare_max_matches_eager_scan(game):
+    params = _lazy_games()[game]
+    mode = "exact" if params.n <= 16 else "structural"
+    prof, report = welfare_max_equilibrium(params, mode)
+    ref, ref_report = _eager_welfare_max(params, mode)
+    assert np.array_equal(prof.g, ref.g)
+    assert np.array_equal(prof.x, ref.x)
+    assert np.array_equal(prof.y, ref.y)
+    assert report.classification == ref_report.classification
+    assert report.contributors == ref_report.contributors
+
+
+def _dummy(i):
+    """A distinct 3-player profile per index; only its profile key matters."""
+    return StrategyProfile(np.array([float(i), 0.0, 0.0]), np.zeros(3), np.zeros((3, 3)))
+
+
+def _scripted(monkeypatch, tagged, scripted):
+    """Make welfare_max_equilibrium see `tagged` candidates whose welfare and
+    report come from `scripted` (profile index -> (welfare, class, contributors)).
+    Returns the eager answer over the same candidates and the verify count."""
+    def lookup(prof):
+        return scripted[int(prof.x[0])]
+
+    calls = []
+
+    def fake_verify(prof, params, mode="exact"):
+        calls.append(int(prof.x[0]))
+        _, label, contributors = lookup(prof)
+        return EquilibriumReport(label, contributors, (), ())
+
+    monkeypatch.setattr(eq, "_candidates", lambda params, mode: list(tagged))
+    monkeypatch.setattr(eq, "verify_nash", fake_verify)
+    monkeypatch.setattr(eq, "welfare", lambda prof, params: (lookup(prof)[0], 0.0))
+    params = _params([0.0, 0.5, 1.0])
+    # the eager list holds only templates that pass their class check
+    eager = [p for p, tag in tagged if tag is None or fake_verify(p, params).classification == tag]
+    want = _eager_scan(eager, params, "exact")
+    calls.clear()
+    return params, want, calls
+
+
+def test_lazy_tie_chain_prefers_later_independent(monkeypatch):
+    tol = eq._WELFARE_TIE_TOL
+    scripted = {
+        0: (0.0, "Empty", ()),
+        1: (1.0, "Collaborative", (1, 2)),
+        2: (1.0 - 0.9 * tol, "Independent", (0, 1, 2)),
+        3: (1.0 - 1.8 * tol, "Independent", (0, 2)),
+        4: (0.5, "Independent", (0,)),
+    }
+    tagged = [(_dummy(0), None), (_dummy(1), "Collaborative"), (_dummy(2), None),
+              (_dummy(3), None), (_dummy(4), None)]
+    params, want, calls = _scripted(monkeypatch, tagged, scripted)
+    prof, report = welfare_max_equilibrium(params, "exact")
+    # the core candidate has the highest welfare, yet an Independent within
+    # tolerance takes the tie, and a second step (1.8 tol below the core)
+    # moves to fewer contributors
+    assert int(want[0].x[0]) == 3
+    assert int(prof.x[0]) == 3
+    assert report.classification == want[1].classification == "Independent"
+    # candidates well below the accepted band are never verified
+    assert sorted(calls) == [1, 2, 3]
+
+
+def test_failed_template_does_not_shadow_dynamics_profile(monkeypatch):
+    scripted = {
+        0: (0.0, "Empty", ()),
+        1: (2.0, "PartiallyCollaborative", (1, 2)),
+    }
+    # the collaborative template and a dynamics run land on the same profile,
+    # which verifies as partially collaborative: the template is dropped, the
+    # dynamics copy still counts
+    tagged = [(_dummy(0), None), (_dummy(1), "Collaborative"), (_dummy(1), None)]
+    params, want, calls = _scripted(monkeypatch, tagged, scripted)
+    prof, report = welfare_max_equilibrium(params, "exact")
+    assert int(want[0].x[0]) == 1
+    assert int(prof.x[0]) == 1
+    assert report.classification == "PartiallyCollaborative"
+    assert calls == [1]

@@ -243,6 +243,13 @@ def test_game_params_validation():
         GameParams(np.array([0.0, 0.5, 1.0]), -1.0, 0.4, BenefitSpec.log())
     with pytest.raises(ValueError):
         GameParams(np.array([0.0, 0.5, 1.0]), 1.0, 0.0, BenefitSpec.log())
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            GameParams(np.array([0.0, 0.5, 1.0]), 1.0, bad, BenefitSpec.log())
+        with pytest.raises(ValueError):
+            GameParams(np.array([0.0, 0.5, 1.0]), bad, 0.4, BenefitSpec.log())
     params = _three_player_params()
     with pytest.raises(ValueError):
         params.with_costs(np.array([1.0, 0.0, 1.0]))
+    with pytest.raises(ValueError):
+        params.with_costs(np.array([1.0, float("nan"), 1.0]))
