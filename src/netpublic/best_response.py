@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import EPS_DEV, GameParams, StrategyProfile, utility
+from .model import EPS_DEV, GameParams, StrategyProfile, gross_value, utility
 
 EXACT = "exact"
 STRUCTURAL = "structural"
@@ -78,33 +78,27 @@ def optimal_contributions(
     return xi, yi
 
 
+def _top_up(i: int, x_bar, y_bar, params: GameParams):
+    """Player i's top-up contributions against spillovers (x_bar, y_bar) and
+    the gross value they yield; broadcasts over array spillovers."""
+    xi = np.maximum(params.x_hat[i] - x_bar, 0.0)
+    yi = np.maximum(params.y_hat[i] - y_bar, 0.0)
+    return gross_value(params, i, xi, yi, x_bar, y_bar), xi, yi
+
+
 def _gross_utilities(
     i: int, cand: np.ndarray, subsets: np.ndarray, profile: StrategyProfile, params: GameParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Utility of every candidate link subset with re-optimized contributions."""
-    x_bar = subsets @ profile.x[cand]
-    y_bar = subsets @ profile.y[cand]
-    xi = np.maximum(params.x_hat[i] - x_bar, 0.0)
-    yi = np.maximum(params.y_hat[i] - y_bar, 0.0)
-    t = params.types[i]
-    spec = params.benefit
-    bx = t * spec.value(xi + x_bar) if t > 0.0 else 0.0
-    by = (1.0 - t) * spec.value(yi + y_bar) if t < 1.0 else 0.0
-    util = bx + by - params.cost_vec[i] * (xi + yi) - params.k * subsets.sum(axis=1)
-    return util, xi, yi
+    gross, xi, yi = _top_up(i, subsets @ profile.x[cand], subsets @ profile.y[cand], params)
+    return gross - params.k * subsets.sum(axis=1), xi, yi
 
 
 def _gross_opt(i: int, links, profile: StrategyProfile, params: GameParams) -> float:
     """Best achievable utility for a fixed link set, excluding link fees."""
-    xi, yi = optimal_contributions(i, links, profile, params)
     links = list(links)
-    x_bar = float(profile.x[links].sum())
-    y_bar = float(profile.y[links].sum())
-    t = params.types[i]
-    spec = params.benefit
-    bx = t * float(spec.value(xi + x_bar)) if t > 0.0 else 0.0
-    by = (1.0 - t) * float(spec.value(yi + y_bar)) if t < 1.0 else 0.0
-    return bx + by - params.cost_vec[i] * (xi + yi)
+    gross, _, _ = _top_up(i, float(profile.x[links].sum()), float(profile.y[links].sum()), params)
+    return float(gross)
 
 
 ADD = "add"
@@ -134,13 +128,16 @@ def gains_from_link(
 
 
 def _structural_candidates(i: int, profile: StrategyProfile, params: GameParams) -> np.ndarray:
-    receivers = np.flatnonzero(profile.in_degree() >= 1)
-    provision = profile.x + profile.y
-    order = np.lexsort((np.arange(params.n), -provision))
-    top = [j for j in order if j != i][:_STRUCTURAL_TOP_PROVIDERS]
-    cand = set(receivers.tolist()) | set(top)
-    cand.discard(i)
-    return np.array(sorted(cand), dtype=int)
+    """Current link receivers plus the largest providers by x + y, without i.
+
+    Providers are ranked by a stable sort, so equal provision goes to the
+    lower index.
+    """
+    cand = profile.g.any(axis=0)
+    top = np.argsort(-(profile.x + profile.y), kind="stable")[: _STRUCTURAL_TOP_PROVIDERS + 1]
+    cand[top[top != i][:_STRUCTURAL_TOP_PROVIDERS]] = True
+    cand[i] = False
+    return np.flatnonzero(cand)
 
 
 def best_response(

@@ -18,12 +18,14 @@ from .best_response import (
     EXACT,
     STRUCTURAL,
     Deviation,
+    _subset_matrix,
+    _top_up,
     best_response,
     find_profitable_deviation,
     optimal_contributions,
 )
 from .metrics import welfare
-from .model import EPS_DEV, GameParams, StrategyProfile, utility
+from .model import EPS_DEV, GameParams, StrategyProfile, gross_value, utility
 
 EMPTY = "Empty"
 INDEPENDENT = "Independent"
@@ -37,6 +39,10 @@ RANDOM_PERMUTATION = "random_permutation"
 
 _FIXED_POINT_TOL = 1e-10
 _FIXED_POINT_MAX_SWEEPS = 10_000
+# digraphs per fixed-point batch in brute_force_equilibria
+_ORACLE_BLOCK = 256
+# odd multiplier of the hash that filters the revisit test (golden ratio * 2^64)
+_KEY_MIX = np.uint64(0x9E3779B97F4A7C15)
 _WELFARE_TIE_TOL = 1e-9
 _DYNAMICS_STARTS = 8
 
@@ -305,54 +311,164 @@ def construct_partially_collaborative(
 # contribution fixed point and the small-n oracle
 # ----------------------------------------------------------------------
 
+# per-graph outcome of _fixed_points
+_CONVERGED, _REVISITED, _EXHAUSTED = 0, 1, 2
+
+
+def _sweep(g: np.ndarray, xy: np.ndarray, hat: np.ndarray) -> None:
+    """One round-robin top-up sweep in place, players in index order.
+
+    ``g`` is (m, n, n, 1), ``xy`` is (m, 2, n) and ``hat`` (2, n).
+    """
+    for i in range(hat.shape[1]):
+        xy[:, :, i] = np.maximum(hat[:, i] - (xy @ g[:, i])[:, :, 0], 0.0)
+
+
+def _keys(xy: np.ndarray) -> np.ndarray:
+    """Each graph's contributions rounded to the convergence tolerance."""
+    m, goods, n = xy.shape
+    return np.round(xy / _FIXED_POINT_TOL).reshape(m, goods * n)
+
+
+def _replayed_key_equals(
+    g: np.ndarray, hat: np.ndarray, sweeps: np.ndarray, keys: np.ndarray
+) -> np.ndarray:
+    """Whether each graph's key after sweep ``sweeps[r] + 1``, replayed from
+    the isolation demands, has exactly the bits of ``keys[r]``."""
+    xy = np.repeat(hat[None], len(g), axis=0)
+    same = np.zeros(len(g), dtype=bool)
+    for s in range(int(sweeps.max()) + 1):
+        _sweep(g, xy, hat)
+        at = sweeps == s
+        same[at] = (_keys(xy[at]).view(np.uint64) == keys[at].view(np.uint64)).all(axis=1)
+    return same
+
+
+def _fixed_points(
+    G: np.ndarray, params: GameParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Round-robin top-up iteration on every link graph of a stack G (m, n, n).
+
+    Each graph runs its own sweeps: players update in index order to
+    x_i = max(x_hat_i - sum_j g_ij x_j, 0), and likewise y.  A graph leaves the
+    batch once a sweep moves no contribution by _FIXED_POINT_TOL or more
+    (converged) or once its state, rounded to that tolerance, repeats the state
+    after an earlier sweep (revisited).  Graphs still running after
+    _FIXED_POINT_MAX_SWEEPS sweeps are exhausted.
+
+    The revisit history holds one 64-bit hash per graph and sweep; a hash
+    match is confirmed against the exact key by replaying that graph, so the
+    verdict is the one a set of exact keys gives.
+
+    Returns X and Y of shape (m, n) and one status per graph.
+    """
+    G = np.asarray(G, dtype=float)[..., None]
+    m, n = G.shape[0], params.n
+    hat = np.stack([params.x_hat, params.y_hat])
+    XY = np.repeat(hat[None], m, axis=0)  # (graph, good, player)
+    status = np.full(m, _EXHAUSTED, dtype=np.int8)
+    live, g, xy = np.arange(m), G, XY.copy()
+    mix = _KEY_MIX * np.arange(1, 4 * n, 2, dtype=np.uint64)
+    hashes = np.zeros((m, 16), dtype=np.uint64)  # column s: hash after sweep s + 1
+    for t in range(_FIXED_POINT_MAX_SWEEPS):
+        before = xy.copy()
+        _sweep(g, xy, hat)
+        # each contribution moves once per sweep, so the largest single
+        # update of the sweep is the largest move over the whole sweep
+        leave = np.abs(xy - before).max(axis=(1, 2)) < _FIXED_POINT_TOL
+        status[live[leave]] = _CONVERGED
+        keys = _keys(xy)
+        h = (keys.view(np.uint64) * mix).sum(axis=1)
+        match = hashes[:, :t] == h[:, None]
+        suspect = match.any(axis=1) & ~leave
+        if suspect.any():
+            rows, cols = np.nonzero(match & suspect[:, None])
+            rows = rows[_replayed_key_equals(g[rows], hat, cols, keys[rows])]
+            status[live[rows]] = _REVISITED
+            leave[rows] = True
+        if t == hashes.shape[1]:
+            hashes = np.concatenate([hashes, np.zeros_like(hashes)], axis=1)
+        hashes[:, t] = h
+        if leave.any():
+            XY[live[leave]] = xy[leave]
+            keep = ~leave
+            live, g, xy, hashes = live[keep], g[keep], xy[keep], hashes[keep]
+            if not live.size:
+                break
+    XY[live] = xy
+    return XY[:, 0].copy(), XY[:, 1].copy(), status
+
+
 def contribution_fixed_point(g: np.ndarray, params: GameParams) -> tuple[np.ndarray, np.ndarray]:
     """Round-robin top-up iteration on a fixed link graph.
 
-    Raises NonConvergenceError on a detected cycle or when the sweep budget
-    is exhausted, which signals that the graph supports no pure contribution
-    equilibrium under this dynamic.
+    Runs _fixed_points on a batch of one.  Raises NonConvergenceError on a
+    detected cycle or when the sweep budget is exhausted, which signals that
+    the graph supports no pure contribution equilibrium under this dynamic.
     """
-    g = np.asarray(g)
-    n = params.n
-    x = params.x_hat.copy()
-    y = params.y_hat.copy()
-    seen: set[bytes] = set()
-    for _ in range(_FIXED_POINT_MAX_SWEEPS):
-        delta = 0.0
-        for i in range(n):
-            row = g[i]
-            xi = max(params.x_hat[i] - float(row @ x), 0.0)
-            yi = max(params.y_hat[i] - float(row @ y), 0.0)
-            delta = max(delta, abs(xi - x[i]), abs(yi - y[i]))
-            x[i], y[i] = xi, yi
-        if delta < _FIXED_POINT_TOL:
-            return x, y
-        key = np.round(np.concatenate([x, y]) / _FIXED_POINT_TOL).tobytes()
-        if key in seen:
-            raise NonConvergenceError("contribution dynamic revisited a state")
-        seen.add(key)
-    raise NonConvergenceError("contribution dynamic exhausted its sweep budget")
+    X, Y, status = _fixed_points(np.asarray(g)[None], params)
+    if status[0] == _REVISITED:
+        raise NonConvergenceError("contribution dynamic revisited a state")
+    if status[0] == _EXHAUSTED:
+        raise NonConvergenceError("contribution dynamic exhausted its sweep budget")
+    return X[0], Y[0]
+
+
+def _nash_stable(G: np.ndarray, X: np.ndarray, Y: np.ndarray, params: GameParams) -> np.ndarray:
+    """Exact Nash verdict for each profile (G[r], X[r], Y[r]) of a stack.
+
+    True exactly where find_profitable_deviation(profile, params, EXACT) is
+    None: no player's best response over all link subsets, with the same
+    fewest-links tie-break, beats their current utility by more than EPS_DEV.
+    """
+    m, n = X.shape
+    subsets = _subset_matrix(n - 1, None)
+    fees = params.k * subsets.sum(axis=1)
+    rows = np.arange(m)
+    stable = np.ones(m, dtype=bool)
+    for i in range(n):
+        g = G[:, i : i + 1, :]
+        spill_x = (g @ X[:, :, None])[:, 0, 0]
+        spill_y = (g @ Y[:, :, None])[:, 0, 0]
+        current = gross_value(params, i, X[:, i], Y[:, i], spill_x, spill_y)
+        current = current - g.sum(axis=(1, 2)) * params.k
+        cand = [j for j in range(n) if j != i]
+        # one (1 x n-1) @ (n-1 x subsets) product per graph: a plain 2-D
+        # product here would be a BLAS gemm, whose work buffer adds about
+        # 0.4 MB to the resident size of every process that runs the oracle
+        subset_x = (X[:, None, cand] @ subsets.T)[:, 0]
+        subset_y = (Y[:, None, cand] @ subsets.T)[:, 0]
+        gross, _, _ = _top_up(i, subset_x, subset_y, params)
+        util = gross - fees
+        best = util.max(axis=1)
+        pick = np.argmax(util >= best[:, None] - EPS_DEV, axis=1)
+        stable &= ~(util[rows, pick] > current + EPS_DEV)
+    return stable
 
 
 def brute_force_equilibria(params: GameParams) -> list[StrategyProfile]:
-    """Ground truth for tiny games: test every digraph on up to 4 players."""
+    """Ground truth for tiny games: test every digraph on up to 4 players.
+
+    Digraphs are enumerated in mask order (bit b links the b-th ordered pair
+    in row-major order) and handled in blocks of _ORACLE_BLOCK: one batched
+    contribution fixed point per block, then one batched exact Nash check on
+    the block's converged graphs.
+    """
     n = params.n
     if n > 4:
         raise ValueError("brute force enumeration is limited to n <= 4")
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    src, dst = np.nonzero(~np.eye(n, dtype=bool))
+    total = 1 << src.size
     out: list[StrategyProfile] = []
-    for mask in range(1 << len(pairs)):
-        g = np.zeros((n, n), dtype=np.int8)
-        for bit, (i, j) in enumerate(pairs):
-            if mask >> bit & 1:
-                g[i, j] = 1
-        try:
-            x, y = contribution_fixed_point(g, params)
-        except NonConvergenceError:
-            continue
-        prof = StrategyProfile(x, y, g)
-        if find_profitable_deviation(prof, params, EXACT) is None:
-            out.append(prof)
+    for start in range(0, total, _ORACLE_BLOCK):
+        masks = np.arange(start, min(start + _ORACLE_BLOCK, total))
+        G = np.zeros((masks.size, n, n))
+        G[:, src, dst] = (masks[:, None] >> np.arange(src.size)) & 1
+        X, Y, status = _fixed_points(G, params)
+        done = np.flatnonzero(status == _CONVERGED)
+        keep = done[_nash_stable(G[done], X[done], Y[done], params)]
+        # copies, so that a returned profile never holds a view of the block
+        out.extend(StrategyProfile(X[r].copy(), Y[r].copy(), G[r].astype(np.int8)) for r in keep)
     return out
 
 

@@ -37,8 +37,10 @@ class TruncNormal:
     sd: float = 1.0
 
     def __post_init__(self):
-        if self.sd <= 0:
-            raise ValueError("sd must be positive")
+        # a NaN parameter makes every draw land outside (0, 1), so sampling
+        # would never finish
+        if not (math.isfinite(self.mean) and math.isfinite(self.sd) and self.sd > 0):
+            raise ValueError("mean and sd must be finite and sd positive")
 
 
 UNIFORM = "uniform"
@@ -278,11 +280,18 @@ def spillovers(profile: StrategyProfile, i: int) -> tuple[float, float]:
     return float(row @ profile.x), float(row @ profile.y)
 
 
-def _weighted_benefit(weight: float, consumption: float, spec: BenefitSpec) -> float:
-    # zero-weight goods contribute exactly 0 regardless of consumption
-    if weight <= 0.0:
-        return 0.0
-    return weight * float(spec.value(consumption))
+def gross_value(params: GameParams, i: int, xi, yi, x_bar, y_bar):
+    """Player i's benefits from consuming (xi + x_bar, yi + y_bar), net of the
+    cost of the own contributions (xi, yi) and before link fees.
+
+    Broadcasts over array arguments.  A good with zero taste weight counts 0
+    even where the log family would give -inf.
+    """
+    t = params.types[i]
+    spec = params.benefit
+    bx = t * spec.value(xi + x_bar) if t > 0.0 else 0.0
+    by = (1.0 - t) * spec.value(yi + y_bar) if t < 1.0 else 0.0
+    return bx + by - params.cost_vec[i] * (xi + yi)
 
 
 def utility(profile: StrategyProfile, i: int, params: GameParams) -> float:
@@ -291,9 +300,6 @@ def utility(profile: StrategyProfile, i: int, params: GameParams) -> float:
     Under the log family a positive-weight good with zero consumption yields
     -inf, marking the strategy as dominated rather than raising.
     """
-    t = params.types[i]
     x_bar, y_bar = spillovers(profile, i)
-    bx = _weighted_benefit(t, profile.x[i] + x_bar, params.benefit)
-    by = _weighted_benefit(1.0 - t, profile.y[i] + y_bar, params.benefit)
     eta = int(profile.g[i].sum())
-    return bx + by - params.cost_vec[i] * (profile.x[i] + profile.y[i]) - eta * params.k
+    return gross_value(params, i, profile.x[i], profile.y[i], x_bar, y_bar) - eta * params.k

@@ -11,6 +11,7 @@ equilibrium network switches, so smooth methods have nothing to grip.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,9 +128,12 @@ def planner(
     level_grid: int = 20,
     mode: str = "exact",
 ) -> tuple[SubsidyPlan, StrategyProfile, str]:
-    """Welfare-best feasible subsidy plan under the stated budget."""
-    if budget < 0:
-        raise ValueError("budget must be non-negative")
+    """Welfare-best feasible subsidy plan under the stated budget.
+
+    The budget must be finite and non-negative.
+    """
+    if not (math.isfinite(budget) and budget >= 0):
+        raise ValueError("budget must be finite and non-negative")
     base_prof, base_report = welfare_max_equilibrium(params, mode)
     if budget == 0:
         plan = SubsidyPlan(np.zeros(params.n), 0.0, 0.0)

@@ -20,6 +20,7 @@ from netpublic import (
     utility,
     UNIFORM,
 )
+from netpublic.best_response import _structural_candidates
 from tests.conftest import random_scenario
 
 
@@ -169,6 +170,36 @@ def test_structural_mode_tracks_exact(rng):
             if abs(struct.utility - exact.utility) <= 1e-9:
                 hits += 1
     assert hits / total >= 0.95
+
+
+def _structural_candidates_reference(i, profile, params):
+    """The list-based candidate set that the array version replaced."""
+    receivers = np.flatnonzero(profile.in_degree() >= 1)
+    provision = profile.x + profile.y
+    order = np.lexsort((np.arange(params.n), -provision))
+    top = [j for j in order if j != i][:4]
+    cand = set(receivers.tolist()) | set(top)
+    cand.discard(i)
+    return np.array(sorted(cand), dtype=int)
+
+
+def test_structural_candidates_match_reference(rng):
+    for trial in range(120):
+        params = random_scenario(rng, int(rng.integers(3, 60)))
+        n = params.n
+        if trial % 2:
+            # few provision levels, so the top-provider ranking meets ties
+            x = rng.choice([0.0, 0.5, 1.0], n)
+            y = rng.choice([0.0, 0.5], n)
+        else:
+            x, y = rng.uniform(0.0, 2.0, n), rng.uniform(0.0, 2.0, n)
+        g = (rng.random((n, n)) < rng.choice([0.0, 0.05, 0.3])).astype(np.int8)
+        np.fill_diagonal(g, 0)
+        prof = StrategyProfile(x, y, g)
+        for i in range(n):
+            got = _structural_candidates(i, prof, params)
+            want = _structural_candidates_reference(i, prof, params)
+            assert got.dtype.kind == "i" and np.array_equal(got, want), (trial, i)
 
 
 def test_exact_mode_rejects_large_games():

@@ -179,3 +179,19 @@ def test_non_finite_link_fee_is_config_error(tmp_path):
     cfg = _base_config(k=float("inf"))
     cfg["output"]["path"] = str(tmp_path / "o.json")
     assert main(["--config", _write(tmp_path / "c.json", cfg)]) == 2
+
+
+def test_non_finite_truncnormal_is_config_error(tmp_path):
+    for mean, sd in ((float("nan"), 1.0), (0.5, float("nan"))):
+        cfg = _base_config(dist={"kind": "truncnormal", "mean": mean, "sd": sd})
+        cfg["output"]["path"] = str(tmp_path / "o.json")
+        assert main(["--config", _write(tmp_path / "c.json", cfg)]) == 2
+
+
+def test_non_finite_subsidy_budget_is_config_error(tmp_path):
+    for budget, literal in ((float("nan"), '"budget": NaN'), (float("inf"), '"budget": Infinity')):
+        cfg = _base_config(command="subsidy", subsidy={"budget": budget})
+        cfg["output"]["path"] = str(tmp_path / "o.json")
+        path = _write(tmp_path / "c.json", cfg)
+        assert literal in (tmp_path / "c.json").read_text()
+        assert main(["--config", path]) == 2

@@ -509,6 +509,116 @@ def test_collaborative_classes_have_two_contributors_and_no_isolated(rng):
 
 
 # ----------------------------------------------------------------------
+# the batched oracle against the per-graph loop it replaced
+# ----------------------------------------------------------------------
+
+def _fixed_point_reference(g, params):
+    """The scalar Gauss-Seidel loop of the per-graph oracle.
+
+    Returns the final (x, y), the outcome as an ``eq._CONVERGED`` /
+    ``_REVISITED`` / ``_EXHAUSTED`` status and the number of sweeps run.
+    """
+    n = params.n
+    x = params.x_hat.copy()
+    y = params.y_hat.copy()
+    seen = set()
+    for sweep in range(1, eq._FIXED_POINT_MAX_SWEEPS + 1):
+        delta = 0.0
+        for i in range(n):
+            row = g[i]
+            xi = max(params.x_hat[i] - float(row @ x), 0.0)
+            yi = max(params.y_hat[i] - float(row @ y), 0.0)
+            delta = max(delta, abs(xi - x[i]), abs(yi - y[i]))
+            x[i], y[i] = xi, yi
+        if delta < eq._FIXED_POINT_TOL:
+            return x, y, eq._CONVERGED, sweep
+        key = np.round(np.concatenate([x, y]) / eq._FIXED_POINT_TOL).tobytes()
+        if key in seen:
+            return x, y, eq._REVISITED, sweep
+        seen.add(key)
+    return x, y, eq._EXHAUSTED, sweep
+
+
+def _all_digraphs(n):
+    """Every digraph on n players, in the oracle's mask order."""
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    for mask in range(1 << len(pairs)):
+        g = np.zeros((n, n), dtype=np.int8)
+        for bit, (i, j) in enumerate(pairs):
+            if mask >> bit & 1:
+                g[i, j] = 1
+        yield g
+
+
+def _brute_force_reference(params):
+    """The per-graph oracle loop: scalar fixed point, then an exact Nash scan."""
+    out = []
+    for g in _all_digraphs(params.n):
+        x, y, status, _ = _fixed_point_reference(g, params)
+        if status != eq._CONVERGED:
+            continue
+        prof = StrategyProfile(x, y, g)
+        if find_profitable_deviation(prof, params, "exact") is None:
+            out.append(prof)
+    return out
+
+
+def test_batched_fixed_points_match_scalar_loop():
+    # a tiny interior type makes the log family converge slowly (201 sweeps
+    # at n = 3); the n = 4 games include graphs whose dynamic cycles
+    games = [
+        _params([0.0, 0.005, 1.0], c=1.0, k=0.3),
+        _params([0.0, 0.02, 0.7, 1.0], c=1.5, k=0.3),
+    ]
+    for spec in FAMILIES[1:]:
+        games.append(_params([0.0, 0.4, 1.0], c=0.8, k=0.1, spec=spec))
+        games.append(_params([0.0, 0.3, 0.6, 1.0], c=1.2, k=0.1, spec=spec))
+    longest, revisited = 0, 0
+    for params in games:
+        graphs = list(_all_digraphs(params.n))
+        X, Y, status = eq._fixed_points(np.array(graphs), params)
+        for r, g in enumerate(graphs):
+            x, y, want, sweeps = _fixed_point_reference(g, params)
+            assert status[r] == want, (params.types, r)
+            assert np.array_equal(X[r], x) and np.array_equal(Y[r], y), (params.types, r)
+            longest = max(longest, sweeps)
+            revisited += want == eq._REVISITED
+            if params.n == 3:  # the batch of one behind the public entry point
+                if want == eq._CONVERGED:
+                    got = contribution_fixed_point(g, params)
+                    assert np.array_equal(got[0], x) and np.array_equal(got[1], y)
+                else:
+                    with pytest.raises(NonConvergenceError):
+                        contribution_fixed_point(g, params)
+    assert longest > 200 and revisited > 0
+
+
+def test_brute_force_matches_per_graph_loop(rng):
+    families = set()
+    for idx in range(24):
+        params = random_scenario(rng, 3 if idx < 16 else 4, k_span=(0.05, 1.2))
+        families.add((params.n, params.benefit))
+        want = _brute_force_reference(params)
+        got = brute_force_equilibria(params)
+        assert len(got) == len(want), idx
+        for a, b in zip(got, want):
+            assert np.array_equal(a.g, b.g), idx
+            assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y), idx
+    assert len(families) == 6  # all three families at both sizes
+
+
+def test_brute_force_profiles_share_no_memory():
+    # returned profiles must not pin the block arrays they were computed in
+    params = _params([0.0, 0.1, 0.9, 1.0], k=0.1)
+    eqs = brute_force_equilibria(params)
+    assert len(eqs) > 1
+    arrays = [a for prof in eqs for a in (prof.x, prof.y, prof.g)]
+    assert all(a.base is None for a in arrays)
+    for u, v in itertools.combinations(arrays, 2):
+        assert not np.shares_memory(u, v)
+
+
+# ----------------------------------------------------------------------
 # lazy verification against the eager scan
 # ----------------------------------------------------------------------
 

@@ -211,6 +211,14 @@ def test_sample_types_rejects_small_n():
         sample_types(UNIFORM, 2, seed=0)
 
 
+def test_truncnormal_rejects_bad_parameters():
+    # a NaN parameter made every draw fall outside (0, 1), so sampling hung
+    for mean, sd in ((0.5, 0.0), (float("nan"), 1.0), (0.5, float("nan")), (0.5, float("inf")),
+                     (float("inf"), 1.0)):
+        with pytest.raises(ValueError):
+            TruncNormal(mean, sd)
+
+
 def test_truncnormal_mean_against_quadrature():
     dist = TruncNormal(0.3, 0.4)
     # oracle: moments of the truncated density by quadrature

@@ -62,6 +62,13 @@ def test_zero_budget_null_plan():
     assert np.array_equal(prof.g, base.g)
 
 
+def test_planner_rejects_bad_budget():
+    params = _params([0.0, 0.3, 0.7, 1.0], k=0.5)
+    for bad in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            planner(params, bad)
+
+
 def test_planner_never_hurts_welfare_and_respects_budget():
     params = _params([0.0, 0.2, 0.5, 0.8, 1.0], k=0.7)
     base, _ = welfare_max_equilibrium(params, "exact")
