@@ -21,6 +21,8 @@ EXACT = "exact"
 STRUCTURAL = "structural"
 
 _EXACT_MAX_PLAYERS = 16
+# rows x subsets per pass of _best_responses, which bounds its temporaries
+_KERNEL_CHUNK = 1 << 15
 _STRUCTURAL_TOP_PROVIDERS = 4
 _STRUCTURAL_MAX_LINKS = 3
 
@@ -64,6 +66,14 @@ def _subset_matrix(m: int, cap: int | None) -> np.ndarray:
     return mat
 
 
+@lru_cache(maxsize=128)
+def _subset_sizes(m: int) -> np.ndarray:
+    """Link count of each row of _subset_matrix(m, None)."""
+    sizes = _subset_matrix(m, None).sum(axis=1)
+    sizes.setflags(write=False)
+    return sizes
+
+
 def optimal_contributions(
     i: int, links, profile: StrategyProfile, params: GameParams
 ) -> tuple[float, float]:
@@ -78,9 +88,10 @@ def optimal_contributions(
     return xi, yi
 
 
-def _top_up(i: int, x_bar, y_bar, params: GameParams):
+def _top_up(i, x_bar, y_bar, params: GameParams):
     """Player i's top-up contributions against spillovers (x_bar, y_bar) and
-    the gross value they yield; broadcasts over array spillovers."""
+    the gross value they yield; broadcasts over array spillovers and over an
+    index array ``i``."""
     xi = np.maximum(params.x_hat[i] - x_bar, 0.0)
     yi = np.maximum(params.y_hat[i] - y_bar, 0.0)
     return gross_value(params, i, xi, yi, x_bar, y_bar), xi, yi
@@ -172,6 +183,70 @@ def best_response(
         y=float(yi[idx]),
         utility=float(util[idx]),
     )
+
+
+@lru_cache(maxsize=32)
+def _opponents(n: int) -> np.ndarray:
+    """Row i lists every player but i, in index order."""
+    table = np.array([[j for j in range(n) if j != i] for i in range(n)], dtype=np.intp)
+    table.setflags(write=False)
+    return table
+
+
+def _best_responses(
+    players, X: np.ndarray, Y: np.ndarray, params: GameParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Exact best response of player players[r] against contributions X[r], Y[r].
+
+    ``players`` is an index array, one player per row, or a single index for
+    every row.  Row r searches every subset of its n - 1 opponents, in the
+    (size, lex) order of _subset_matrix, and keeps the first within EPS_DEV
+    of the row's maximum: the same candidates, subset sums (one 1 x (n-1)
+    product per row), top-up values and tie-break as
+    ``best_response(players[r], ..., EXACT)``, so each row equals it bit for
+    bit.  Links do not enter: a best response depends only on the others'
+    contributions.
+
+    Returns per row the index of the chosen subset in _subset_matrix(n - 1,
+    None) (``_link_rows`` turns it into a link row), and the x, y and
+    utility of the best response.
+    """
+    b, n = X.shape
+    if n > _EXACT_MAX_PLAYERS:
+        raise ValueError(f"exact mode supports at most {_EXACT_MAX_PLAYERS} players")
+    subsets = _subset_matrix(n - 1, None)
+    per_row = isinstance(players, np.ndarray)
+    step = max(1, _KERNEL_CHUNK // len(subsets))
+    if b > step:
+        parts = [
+            _best_responses(players[lo : lo + step] if per_row else players,
+                            X[lo : lo + step], Y[lo : lo + step], params)
+            for lo in range(0, b, step)
+        ]
+        return tuple(np.concatenate(column) for column in zip(*parts))
+    cand = _opponents(n)[players]
+    rows = np.arange(b)[:, None] if per_row else slice(None)
+    # stacked 1-row products sum like best_response's matrix-vector product;
+    # a plain 2-D product would be a BLAS gemm, which sums in another order
+    # and whose work buffer adds about 0.4 MB resident
+    gross, xi, yi = _top_up(
+        players[:, None] if per_row else players,
+        (X[rows, cand][:, None] @ subsets.T)[:, 0],
+        (Y[rows, cand][:, None] @ subsets.T)[:, 0],
+        params,
+    )
+    util = gross - params.k * _subset_sizes(n - 1)
+    best = util.max(axis=1)
+    pick = np.argmax(util >= best[:, None] - EPS_DEV, axis=1)
+    at = np.arange(b)
+    return pick, xi[at, pick], yi[at, pick], util[at, pick]
+
+
+def _link_rows(players: np.ndarray, pick: np.ndarray, n: int) -> np.ndarray:
+    """Link row (b, n) of subset pick[r] of players[r]'s opponents."""
+    links = np.zeros((len(pick), n), dtype=np.int8)
+    links[np.arange(len(pick))[:, None], _opponents(n)[players]] = _subset_matrix(n - 1, None)[pick]
+    return links
 
 
 def find_profitable_deviation(

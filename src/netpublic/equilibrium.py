@@ -18,14 +18,14 @@ from .best_response import (
     EXACT,
     STRUCTURAL,
     Deviation,
-    _subset_matrix,
-    _top_up,
+    _best_responses,
+    _link_rows,
     best_response,
     find_profitable_deviation,
     optimal_contributions,
 )
 from .metrics import welfare
-from .model import EPS_DEV, GameParams, StrategyProfile, gross_value, utility
+from .model import EPS_DEV, GameParams, StrategyProfile, utilities, utility
 
 EMPTY = "Empty"
 INDEPENDENT = "Independent"
@@ -145,17 +145,19 @@ def construct_independent(params: GameParams) -> StrategyProfile:
     whoever profits from linking them.  The greedy pass can leave boundary
     players attached to a worse anchor than one fixed later, so a
     deterministic best-response sweep repairs any residual deviations before
-    the profile is returned.
+    the profile is returned; its first round is the check that none remain.
     """
     prof = _greedy_independent(params)
-    mode = EXACT if params.n <= 16 else STRUCTURAL
-    if find_profitable_deviation(prof, params, mode) is None:
-        return prof
-    config = DynamicsConfig(max_rounds=60, order=ROUND_ROBIN, mode=mode)
     try:
-        return best_response_dynamics(prof, params, config)
+        return best_response_dynamics(prof, params, _repair_config(params))
     except NonConvergenceError:
         return prof
+
+
+def _repair_config(params: GameParams) -> DynamicsConfig:
+    """Round-robin repair of the greedy independent profile."""
+    mode = EXACT if params.n <= 16 else STRUCTURAL
+    return DynamicsConfig(max_rounds=60, order=ROUND_ROBIN, mode=mode)
 
 
 def _greedy_independent(params: GameParams) -> StrategyProfile:
@@ -422,27 +424,16 @@ def _nash_stable(G: np.ndarray, X: np.ndarray, Y: np.ndarray, params: GameParams
     fewest-links tie-break, beats their current utility by more than EPS_DEV.
     """
     m, n = X.shape
-    subsets = _subset_matrix(n - 1, None)
-    fees = params.k * subsets.sum(axis=1)
-    rows = np.arange(m)
-    stable = np.ones(m, dtype=bool)
+    keep = np.arange(m)  # profiles no player has deviated from so far
     for i in range(n):
-        g = G[:, i : i + 1, :]
-        spill_x = (g @ X[:, :, None])[:, 0, 0]
-        spill_y = (g @ Y[:, :, None])[:, 0, 0]
-        current = gross_value(params, i, X[:, i], Y[:, i], spill_x, spill_y)
-        current = current - g.sum(axis=(1, 2)) * params.k
-        cand = [j for j in range(n) if j != i]
-        # one (1 x n-1) @ (n-1 x subsets) product per graph: a plain 2-D
-        # product here would be a BLAS gemm, whose work buffer adds about
-        # 0.4 MB to the resident size of every process that runs the oracle
-        subset_x = (X[:, None, cand] @ subsets.T)[:, 0]
-        subset_y = (Y[:, None, cand] @ subsets.T)[:, 0]
-        gross, _, _ = _top_up(i, subset_x, subset_y, params)
-        util = gross - fees
-        best = util.max(axis=1)
-        pick = np.argmax(util >= best[:, None] - EPS_DEV, axis=1)
-        stable &= ~(util[rows, pick] > current + EPS_DEV)
+        if not keep.size:
+            break
+        Xk, Yk = X[keep], Y[keep]
+        current = utilities(params, i, Xk, Yk, G[keep, i])
+        best = _best_responses(i, Xk, Yk, params)[3]
+        keep = keep[~(best > current + EPS_DEV)]
+    stable = np.zeros(m, dtype=bool)
+    stable[keep] = True
     return stable
 
 
@@ -550,28 +541,89 @@ def verify_nash(
 # best-response dynamics and the welfare-maximal equilibrium
 # ----------------------------------------------------------------------
 
+def _dynamics(
+    starts: list[StrategyProfile], params: GameParams, configs: list[DynamicsConfig]
+) -> list[StrategyProfile | None]:
+    """Best-response dynamics from every start at once, stepped in lockstep.
+
+    Row r replays the sequential run from starts[r] under configs[r]: each
+    round draws its player order from the row's own PCG64(seed) (a fresh
+    permutation per round, or index order for round robin), and the players
+    best-respond one at a time, adopting a response that beats their current
+    utility by more than EPS_DEV.  At each (round, position) every live row
+    moves its own player: exact-mode rows through one _best_responses call
+    and one ``utilities`` pass, other rows through ``best_response`` and
+    ``utility`` one row at a time.  A row leaves once a round changes
+    nothing; a row still changing after its max_rounds rounds leaves as not
+    converged and comes back as None.
+    """
+    b, n = len(starts), params.n
+    X = np.array([s.x for s in starts], dtype=float)
+    Y = np.array([s.y for s in starts], dtype=float)
+    G = np.array([s.g for s in starts], dtype=np.int8)
+    # views of the rows, for the rows outside exact mode
+    views = [StrategyProfile(X[r], Y[r], G[r]) for r in range(b)]
+    rngs = [np.random.Generator(np.random.PCG64(c.seed)) for c in configs]
+    exact = np.array([c.mode == EXACT for c in configs], dtype=bool)
+    budget = np.array([c.max_rounds for c in configs])
+    # a player whose row has not changed since they last best-responded
+    # (their own move counts as a change) would find the same best response
+    # again and keep still, so they are skipped: moves[r] counts row r's
+    # strategy changes, and asked[r, i] is moves[r] when player i last
+    # best-responded in row r
+    moves = np.zeros(b, dtype=np.int64)
+    asked = np.full((b, n), -1, dtype=np.int64)
+    out: list[StrategyProfile | None] = [None] * b
+    live = np.arange(b)
+    for rnd in range(int(budget.max())):
+        live = live[budget[live] > rnd]
+        if not live.size:
+            break
+        orders = np.array([
+            rngs[r].permutation(n) if configs[r].order == RANDOM_PERMUTATION else np.arange(n)
+            for r in live
+        ])
+        changed = np.zeros(b, dtype=bool)
+        for pos in range(n):
+            due = moves[live] != asked[live, orders[:, pos]]
+            rows, who = live[due], orders[due, pos]
+            asked[rows, who] = moves[rows]
+            ex = exact[rows]
+            for r, i in zip(rows[~ex].tolist(), who[~ex].tolist()):
+                br = best_response(i, views[r], params, configs[r].mode)
+                if br.utility > utility(views[r], i, params) + EPS_DEV:
+                    views[r].set_strategy(i, br.links, br.x, br.y)
+                    moves[r] += 1
+                    changed[r] = True
+            rows, who = rows[ex], who[ex]
+            if not rows.size:
+                continue
+            pick, new_x, new_y, new_u = _best_responses(who, X[rows], Y[rows], params)
+            better = new_u > utilities(params, who, X[rows], Y[rows], G[rows, who]) + EPS_DEV
+            rows, who = rows[better], who[better]
+            G[rows, who] = _link_rows(who, pick[better], n)
+            X[rows, who] = new_x[better]
+            Y[rows, who] = new_y[better]
+            moves[rows] += 1
+            changed[rows] = True
+        for r in live[~changed[live]]:
+            out[r] = StrategyProfile(X[r].copy(), Y[r].copy(), G[r].copy())
+        live = live[changed[live]]
+    return out
+
+
 def best_response_dynamics(
     start: StrategyProfile, params: GameParams, config: DynamicsConfig
 ) -> StrategyProfile:
-    """Sequential best responses until a full pass changes nothing."""
-    prof = start.copy()
-    rng = np.random.Generator(np.random.PCG64(config.seed))
-    for _ in range(config.max_rounds):
-        if config.order == RANDOM_PERMUTATION:
-            order = rng.permutation(params.n)
-        else:
-            order = np.arange(params.n)
-        changed = False
-        for i in order:
-            i = int(i)
-            current = utility(prof, i, params)
-            br = best_response(i, prof, params, config.mode)
-            if br.utility > current + EPS_DEV:
-                prof.set_strategy(i, br.links, br.x, br.y)
-                changed = True
-        if not changed:
-            return prof
-    raise NonConvergenceError("best-response dynamics did not settle")
+    """Sequential best responses until a full pass changes nothing.
+
+    Runs _dynamics on a batch of one; raises NonConvergenceError when the
+    round budget runs out first.
+    """
+    prof = _dynamics([start], params, [config])[0]
+    if prof is None:
+        raise NonConvergenceError("best-response dynamics did not settle")
+    return prof
 
 
 def _anchored_start(params: GameParams, quantile: float) -> StrategyProfile:
@@ -612,11 +664,28 @@ def _candidates(
     """Every unverified candidate, tagged with the class its template needs.
 
     The tag is None for the empty profile, the independent construction and
-    the dynamics results, which count whatever class they verify as.
+    the dynamics results, which count whatever class they verify as.  The
+    seeded dynamics starts run as one lockstep batch; when the independent
+    construction's repair runs in the same mode, its start joins that batch.
     """
+    starts = [StrategyProfile.isolated(params)]
+    starts += [_anchored_start(params, s / _DYNAMICS_STARTS) for s in range(1, _DYNAMICS_STARTS)]
+    configs = [
+        DynamicsConfig(max_rounds=60, order=RANDOM_PERMUTATION, seed=s, mode=mode)
+        for s in range(_DYNAMICS_STARTS)
+    ]
+    repair = _repair_config(params)
+    if repair.mode == mode:
+        greedy = _greedy_independent(params)
+        *settled, repaired = _dynamics(starts + [greedy], params, configs + [repair])
+        independent = greedy if repaired is None else repaired
+    else:
+        settled = _dynamics(starts, params, configs)
+        independent = construct_independent(params)
+
     out: list[tuple[StrategyProfile, str | None]] = [
         (StrategyProfile.isolated(params), None),
-        (construct_independent(params), None),
+        (independent, None),
     ]
     above, below = _moderate_side_candidates(params)
     for a in above:
@@ -627,17 +696,7 @@ def _candidates(
             co = _build_collaborative(params, a, b)
             if co is not None:
                 out.append((co, COLLABORATIVE))
-
-    for s in range(_DYNAMICS_STARTS):
-        if s == 0:
-            start = StrategyProfile.isolated(params)
-        else:
-            start = _anchored_start(params, s / _DYNAMICS_STARTS)
-        config = DynamicsConfig(max_rounds=60, order=RANDOM_PERMUTATION, seed=s, mode=mode)
-        try:
-            out.append((best_response_dynamics(start, params, config), None))
-        except NonConvergenceError:
-            continue
+    out.extend((prof, None) for prof in settled if prof is not None)
     return out
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GameParams, StrategyProfile, utility
+from .model import GameParams, StrategyProfile, utilities
 
 
 @dataclass(frozen=True)
@@ -19,8 +19,15 @@ class MetricsRecord:
 
 
 def welfare(profile: StrategyProfile, params: GameParams) -> tuple[float, float]:
-    """Total and per-capita utility; -inf propagates from dominated profiles."""
-    total = sum(utility(profile, i, params) for i in range(params.n))
+    """Total and per-capita utility; -inf propagates from dominated profiles.
+
+    Per-player utilities come from one array pass; the total adds them left
+    to right as numpy scalars, the order a per-player loop sums them in.
+    """
+    n = params.n
+    X = np.broadcast_to(profile.x, (n, n))
+    Y = np.broadcast_to(profile.y, (n, n))
+    total = sum(utilities(params, np.arange(n), X, Y, profile.g))
     return total, total / params.n
 
 

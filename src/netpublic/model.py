@@ -233,7 +233,10 @@ class StrategyProfile:
         n = self.x.size
         if self.y.size != n or self.g.shape != (n, n):
             raise ValueError("inconsistent profile dimensions")
-        if np.any(self.x < 0) or np.any(self.y < 0):
+        # NaN fails every comparison, so a sign test alone lets it through
+        if not (np.isfinite(self.x).all() and np.isfinite(self.y).all()):
+            raise ValueError("contributions must be finite")
+        if not ((self.x >= 0).all() and (self.y >= 0).all()):
             raise ValueError("contributions must be non-negative")
         if np.any(np.diagonal(self.g) != 0):
             raise ValueError("link matrix must have a zero diagonal")
@@ -280,17 +283,26 @@ def spillovers(profile: StrategyProfile, i: int) -> tuple[float, float]:
     return float(row @ profile.x), float(row @ profile.y)
 
 
-def gross_value(params: GameParams, i: int, xi, yi, x_bar, y_bar):
+def gross_value(params: GameParams, i, xi, yi, x_bar, y_bar):
     """Player i's benefits from consuming (xi + x_bar, yi + y_bar), net of the
     cost of the own contributions (xi, yi) and before link fees.
 
-    Broadcasts over array arguments.  A good with zero taste weight counts 0
-    even where the log family would give -inf.
+    Broadcasts over array arguments; ``i`` may be an index array, one player
+    per element, with the scalar arithmetic applied elementwise.  A good with
+    zero taste weight counts 0 even where the log family would give -inf.
     """
     t = params.types[i]
     spec = params.benefit
-    bx = t * spec.value(xi + x_bar) if t > 0.0 else 0.0
-    by = (1.0 - t) * spec.value(yi + y_bar) if t < 1.0 else 0.0
+    if np.ndim(t):
+        vx = spec.value(xi + x_bar)
+        vy = spec.value(yi + y_bar)
+        bx = np.zeros(np.broadcast(t, vx).shape)
+        by = np.zeros(np.broadcast(t, vy).shape)
+        np.multiply(t, vx, out=bx, where=t > 0.0)
+        np.multiply(1.0 - t, vy, out=by, where=t < 1.0)
+    else:
+        bx = t * spec.value(xi + x_bar) if t > 0.0 else 0.0
+        by = (1.0 - t) * spec.value(yi + y_bar) if t < 1.0 else 0.0
     return bx + by - params.cost_vec[i] * (xi + yi)
 
 
@@ -303,3 +315,21 @@ def utility(profile: StrategyProfile, i: int, params: GameParams) -> float:
     x_bar, y_bar = spillovers(profile, i)
     eta = int(profile.g[i].sum())
     return gross_value(params, i, profile.x[i], profile.y[i], x_bar, y_bar) - eta * params.k
+
+
+def utilities(
+    params: GameParams, players, X: np.ndarray, Y: np.ndarray, links: np.ndarray
+) -> np.ndarray:
+    """``utility`` of player players[r] in row r, for a stack of rows at once.
+
+    Row r is one profile's contributions X[r], Y[r] (length n) and that
+    player's link row links[r]; ``players`` may also be a single index for
+    every row.  Spillovers are one 1 x n product per row, the summation
+    ``spillovers`` uses, so each entry equals ``utility`` bit for bit.
+    """
+    rows = np.arange(len(X))
+    L = np.asarray(links, dtype=float)[:, None, :]
+    x_bar = (L @ X[:, :, None])[:, 0, 0]
+    y_bar = (L @ Y[:, :, None])[:, 0, 0]
+    own_x, own_y = X[rows, players], Y[rows, players]
+    return gross_value(params, players, own_x, own_y, x_bar, y_bar) - L.sum(axis=(1, 2)) * params.k

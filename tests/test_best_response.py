@@ -8,6 +8,7 @@ import pytest
 from netpublic import (
     ADD,
     DELETE,
+    EPS_DEV,
     BenefitSpec,
     GameParams,
     StrategyProfile,
@@ -20,7 +21,12 @@ from netpublic import (
     utility,
     UNIFORM,
 )
-from netpublic.best_response import _structural_candidates
+from netpublic.best_response import (
+    _KERNEL_CHUNK,
+    _best_responses,
+    _link_rows,
+    _structural_candidates,
+)
 from tests.conftest import random_scenario
 
 
@@ -208,6 +214,56 @@ def test_exact_mode_rejects_large_games():
     prof = StrategyProfile.isolated(params)
     with pytest.raises(ValueError):
         best_response(0, prof, params, "exact")
+
+
+def test_batched_best_response_chunks_match_single_rows(rng):
+    # more rows than one pass of the kernel holds, at n = 13 and at n = 16
+    for n, b in ((13, 20), (16, 3)):
+        assert b > _KERNEL_CHUNK // 2 ** (n - 1)
+        params = random_scenario(rng, n)
+        X = params.x_hat * rng.uniform(0.0, 1.5, size=(b, n)) * (rng.uniform(size=(b, n)) < 0.6)
+        Y = params.y_hat * rng.uniform(0.0, 1.5, size=(b, n)) * (rng.uniform(size=(b, n)) < 0.6)
+        players = rng.integers(0, n, size=b)
+        pick, x, y, util = _best_responses(players, X, Y, params)
+        links = _link_rows(players, pick, n)
+        for r in range(b):
+            prof = StrategyProfile(X[r], Y[r], np.zeros((n, n)))
+            br = best_response(int(players[r]), prof, params, "exact")
+            assert tuple(np.flatnonzero(links[r]).tolist()) == br.links
+            assert (x[r], y[r], util[r]) == (br.x, br.y, br.utility)
+    params = random_scenario(rng, 17)
+    with pytest.raises(ValueError):
+        _best_responses(np.array([0]), params.x_hat[None], params.y_hat[None], params)
+
+
+def test_best_response_tie_band_prefers_fewer_links():
+    # k is tuned so that the best linked strategy beats staying isolated by
+    # a margin just inside EPS_DEV, then just outside it
+    base = _params([0.0, 0.4, 1.0])
+    prof = StrategyProfile(np.array([0.0, base.x_hat[1], base.x_hat[2]]),
+                           np.array([base.y_hat[0], base.y_hat[1], 0.0]), np.zeros((3, 3)))
+    gross = {}
+    for links in ((), (0,), (2,), (0, 2)):
+        trial = prof.copy()
+        trial.set_strategy(1, links, *optimal_contributions(1, links, prof, base))
+        gross[links] = utility(trial, 1, base) + base.k * len(links)
+
+    def margin(k):
+        return max(g - k * len(s) for s, g in gross.items() if s) - gross[()]
+
+    for target, want_empty in ((0.5 * EPS_DEV, True), (2.0 * EPS_DEV, False)):
+        lo, hi = 1e-6, 10.0  # margin(lo) > target > margin(hi)
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if margin(mid) > target else (lo, mid)
+        params = base.with_k(lo)
+        assert abs(margin(lo) - target) < 0.1 * EPS_DEV
+        br = best_response(1, prof, params, "exact")
+        pick, x, y, util = _best_responses(np.array([1]), prof.x[None], prof.y[None], params)
+        links = _link_rows(np.array([1]), pick, 3)
+        assert (br.links == ()) is want_empty
+        assert tuple(np.flatnonzero(links[0]).tolist()) == br.links
+        assert (x[0], y[0], util[0]) == (br.x, br.y, br.utility)
 
 
 def test_no_deviation_from_constructed_equilibrium(rng):

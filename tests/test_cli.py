@@ -127,6 +127,21 @@ def test_solve_then_verify_roundtrip(tmp_path):
     assert reverified == recorded
 
 
+def test_verify_rejects_non_finite_profile(tmp_path):
+    cfg = _base_config(n=8)
+    solve_out = tmp_path / "solve.json"
+    cfg["output"]["path"] = str(solve_out)
+    assert main(["--config", _write(tmp_path / "c.json", cfg)]) == 0
+    for field, bad in (("x", float("nan")), ("y", float("inf"))):
+        report = json.loads(solve_out.read_text())
+        report["records"][0]["profile"][field][1] = bad
+        bad_report = _write(tmp_path / f"bad_{field}.json", report)
+        vcfg = _base_config(n=8, command="verify", verify_profile=bad_report)
+        vcfg["output"]["path"] = str(tmp_path / "verify.json")
+        assert main(["--config", _write(tmp_path / "v.json", vcfg)]) == 2
+        assert not (tmp_path / "verify.json").exists()
+
+
 def test_law_of_few_report(tmp_path):
     cfg = _base_config(command="law_of_few", k=0.9, law_of_few={"n_list": [10, 20]})
     out = tmp_path / "o.json"

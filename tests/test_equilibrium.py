@@ -21,11 +21,13 @@ from netpublic import (
     construct_collaborative,
     construct_independent,
     construct_partially_collaborative,
+    best_response,
     contribution_fixed_point,
     find_profitable_deviation,
     k_tilde,
     sample_types,
     verify_nash,
+    utility,
     welfare_max_equilibrium,
 )
 from netpublic import equilibrium as eq
@@ -434,6 +436,99 @@ def test_dynamics_seeds_may_disagree_but_both_verify():
         outs.append(out)
     # multiplicity is allowed; stability of both is what matters
     assert all(o.g.sum() > 0 for o in outs)
+
+
+def _dynamics_reference(start, params, config):
+    """The per-player loop best_response_dynamics ran before lockstep
+    batching; None where the round budget runs out."""
+    prof = start.copy()
+    rng = np.random.Generator(np.random.PCG64(config.seed))
+    for _ in range(config.max_rounds):
+        if config.order == "random_permutation":
+            order = rng.permutation(params.n)
+        else:
+            order = np.arange(params.n)
+        changed = False
+        for i in order:
+            i = int(i)
+            current = utility(prof, i, params)
+            br = best_response(i, prof, params, config.mode)
+            if br.utility > current + EPS_DEV:
+                prof.set_strategy(i, br.links, br.x, br.y)
+                changed = True
+        if not changed:
+            return prof
+    return None
+
+
+def _dynamics_games():
+    """18 seeded games: exact mode at n = 3..12 and structural mode at
+    n = 17..40, the three families in rotation."""
+    rng = np.random.default_rng(20261019)
+    games = []
+    for idx in range(18):
+        n = 3 + idx if idx < 10 else 17 + (idx - 10) * 23 // 7
+        types = random_types(rng, n)
+        probe = GameParams(types, float(rng.uniform(0.5, 2.0)), 1.0, FAMILIES[idx % 3])
+        games.append(probe.with_k(float(rng.uniform(0.05, 0.9)) * k_tilde(probe)))
+    return games
+
+
+@pytest.mark.parametrize("game", range(18))
+def test_lockstep_dynamics_matches_sequential(game):
+    params = _dynamics_games()[game]
+    mode = "exact" if params.n <= 12 else "structural"
+    starts = [
+        StrategyProfile.isolated(params),
+        eq._anchored_start(params, 0.25),
+        eq._anchored_start(params, 0.5),
+        eq._anchored_start(params, 0.75),
+        eq._greedy_independent(params),
+    ]
+    batch, configs = [], []
+    for s, start in enumerate(starts):
+        for order in ("round_robin", "random_permutation"):
+            batch.append(start)
+            configs.append(DynamicsConfig(max_rounds=60, order=order, seed=s, mode=mode))
+    # one-round budgets: every start that moves at all runs out
+    for s in (0, 4):
+        batch.append(starts[s])
+        configs.append(DynamicsConfig(max_rounds=1, order="random_permutation", seed=s, mode=mode))
+    got = eq._dynamics(batch, params, configs)
+    want = [_dynamics_reference(start, params, config) for start, config in zip(batch, configs)]
+    assert [g is None for g in got] == [w is None for w in want]
+    assert want[-2] is None  # below the threshold someone links from the empty network
+    for g, w in zip(got, want):
+        if w is not None:
+            assert g.g.tobytes() == w.g.tobytes()
+            assert g.x.tobytes() == w.x.tobytes() and g.y.tobytes() == w.y.tobytes()
+    for start, config, w in zip(batch, configs, want):
+        if w is None:
+            with pytest.raises(NonConvergenceError):
+                best_response_dynamics(start, params, config)
+        else:
+            assert best_response_dynamics(start, params, config).x.tobytes() == w.x.tobytes()
+    # the batch works on copies
+    assert starts[0].g.sum() == 0 and np.array_equal(starts[0].x, params.x_hat)
+
+
+def test_independent_repair_joins_the_dynamics_batch(monkeypatch):
+    # n <= 16 in exact mode: one _dynamics call covers the seeded starts and
+    # the repair of the greedy independent profile
+    params = _dynamics_games()[7]
+    calls = []
+    real = eq._dynamics
+
+    def counting(starts, params, configs):
+        calls.append([c.order for c in configs])
+        return real(starts, params, configs)
+
+    monkeypatch.setattr(eq, "_dynamics", counting)
+    candidates = eq._candidates(params, "exact")
+    assert calls == [["random_permutation"] * eq._DYNAMICS_STARTS + ["round_robin"]]
+    monkeypatch.undo()
+    assert candidates[1][0].g.tobytes() == construct_independent(params).g.tobytes()
+    assert candidates[1][0].x.tobytes() == construct_independent(params).x.tobytes()
 
 
 def test_welfare_max_above_threshold_returns_empty():

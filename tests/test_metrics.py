@@ -27,6 +27,26 @@ def test_welfare_additivity_identical_players():
     assert avg == pytest.approx(total / 3, abs=1e-12)
 
 
+def test_welfare_is_the_per_player_sum_bit_for_bit(rng):
+    # one array pass, summed left to right as the per-player loop did;
+    # includes -inf utilities (log family, a good consumed at zero)
+    families = (BenefitSpec.log(), BenefitSpec.sqrt(), BenefitSpec.power(0.3))
+    for trial in range(60):
+        n = int(rng.integers(3, 80))
+        types = np.array(sorted([0.0, *rng.uniform(size=n - 2), 1.0]))
+        params = GameParams(types, float(rng.uniform(0.5, 2.0)), 0.3, families[trial % 3])
+        x = params.x_hat * rng.uniform(0.0, 1.5, size=n) * (rng.uniform(size=n) < 0.7)
+        y = params.y_hat * rng.uniform(0.0, 1.5, size=n) * (rng.uniform(size=n) < 0.7)
+        g = (rng.uniform(size=(n, n)) < 0.1).astype(np.int8)
+        np.fill_diagonal(g, 0)
+        prof = StrategyProfile(x, y, g)
+        want = sum(utility(prof, i, params) for i in range(n))
+        total, avg = welfare(prof, params)
+        assert type(total) is type(want)
+        assert np.float64(total).tobytes() == np.float64(want).tobytes()
+        assert avg == total / n
+
+
 def test_idle_link_costs_exactly_k():
     params = _params([0.0, 0.5, 1.0])
     prof = StrategyProfile.isolated(params)

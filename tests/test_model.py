@@ -261,3 +261,21 @@ def test_game_params_validation():
         params.with_costs(np.array([1.0, 0.0, 1.0]))
     with pytest.raises(ValueError):
         params.with_costs(np.array([1.0, float("nan"), 1.0]))
+
+
+def test_profile_rejects_non_finite_contributions():
+    # NaN fails every comparison, so a sign test alone let it through, and
+    # verify_nash then certified such profiles
+    params = GameParams(np.array([0.0, 0.3, 0.7, 1.0]), 1.0, 0.2, BenefitSpec.log())
+    g = np.zeros((4, 4), dtype=np.int8)
+    with pytest.raises(ValueError, match="finite"):
+        StrategyProfile(np.full(4, np.nan), np.full(4, np.nan), g)
+    for bad in (np.nan, np.inf, -np.inf):
+        x = params.x_hat.copy()
+        x[1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            StrategyProfile(x, params.y_hat.copy(), g)
+        y = params.y_hat.copy()
+        y[2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            StrategyProfile(params.x_hat.copy(), y, g)

@@ -1,10 +1,25 @@
-"""Property tests of the paper's invariants on the n <= 4 brute-force oracle."""
+"""Property tests of the paper's invariants on the n <= 4 brute-force oracle,
+and of the batched exact best response against full subset enumeration."""
+
+import itertools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netpublic import GameParams, brute_force_equilibria, k_tilde, verify_nash
+from netpublic import (
+    EPS_DEV,
+    GameParams,
+    StrategyProfile,
+    best_response,
+    brute_force_equilibria,
+    k_tilde,
+    optimal_contributions,
+    utility,
+    verify_nash,
+)
+from netpublic.best_response import _best_responses, _link_rows
 from tests.conftest import FAMILIES
 
 # derandomized, so tier-1 runs the same examples every time
@@ -56,3 +71,56 @@ def test_oracle_members_meet_consumption_floor(params):
         assert np.all(cons_y >= params.y_hat - 1e-9)
         assert np.allclose(cons_x[prof.x > 0], params.x_hat[prof.x > 0], atol=1e-9)
         assert np.allclose(cons_y[prof.y > 0], params.y_hat[prof.y > 0], atol=1e-9)
+
+
+@st.composite
+def kernel_cases(draw):
+    """A game on 3 to 10 players and up to 4 rows of contributions, each
+    with the player who best-responds in that row."""
+    n = draw(st.integers(3, 10))
+    interior = draw(st.lists(st.floats(0.001, 0.999), min_size=n - 2, max_size=n - 2,
+                             unique=True))
+    spec = draw(st.sampled_from(FAMILIES))
+    types = np.array([0.0, *sorted(interior), 1.0])
+    params = GameParams(types, draw(st.floats(0.5, 2.0)), draw(st.floats(0.005, 1.5)), spec)
+    b = draw(st.integers(1, 4))
+    # a share of each player's autarky demand: 0 and 1 recur, so ties occur
+    share = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.5))
+    X = np.array([draw(st.lists(share, min_size=n, max_size=n)) for _ in range(b)])
+    Y = np.array([draw(st.lists(share, min_size=n, max_size=n)) for _ in range(b)])
+    players = np.array(draw(st.lists(st.integers(0, n - 1), min_size=b, max_size=b)))
+    return params, players, X * params.x_hat, Y * params.y_hat
+
+
+def _enumerated_best_response(i, profile, params):
+    """Every link subset in (size, lex) order, priced through model.utility;
+    the first within EPS_DEV of the maximum wins."""
+    others = [j for j in range(params.n) if j != i]
+    options = []
+    for size in range(len(others) + 1):
+        for links in itertools.combinations(others, size):
+            trial = profile.copy()
+            trial.set_strategy(i, links, *optimal_contributions(i, links, profile, params))
+            options.append((utility(trial, i, params), links, trial.x[i], trial.y[i]))
+    best = max(u for u, *_ in options)
+    return next(opt for opt in options if opt[0] >= best - EPS_DEV)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(kernel_cases())
+def test_batched_best_response_matches_single_and_enumeration(case):
+    params, players, X, Y = case
+    pick, x, y, util = _best_responses(players, X, Y, params)
+    links = _link_rows(players, pick, params.n)
+    for r, i in enumerate(players.tolist()):
+        profile = StrategyProfile(X[r], Y[r], np.zeros((params.n, params.n)))
+        br = best_response(i, profile, params, "exact")
+        assert tuple(np.flatnonzero(links[r]).tolist()) == br.links
+        assert x[r].tobytes() == np.float64(br.x).tobytes()
+        assert y[r].tobytes() == np.float64(br.y).tobytes()
+        assert util[r].tobytes() == np.float64(br.utility).tobytes()
+        u, want, want_x, want_y = _enumerated_best_response(i, profile, params)
+        assert br.links == want
+        assert br.x == pytest.approx(want_x, abs=1e-12)
+        assert br.y == pytest.approx(want_y, abs=1e-12)
+        assert br.utility == pytest.approx(u, abs=1e-9)
