@@ -164,7 +164,7 @@ def best_response(
     if mode == EXACT:
         if n > _EXACT_MAX_PLAYERS:
             raise ValueError(f"exact mode supports at most {_EXACT_MAX_PLAYERS} players")
-        cand = np.array([j for j in range(n) if j != i], dtype=int)
+        cand = _opponents(n)[i]
         cap = None
     elif mode == STRUCTURAL:
         cand = _structural_candidates(i, profile, params)

@@ -566,13 +566,6 @@ def _dynamics(
     rngs = [np.random.Generator(np.random.PCG64(c.seed)) for c in configs]
     exact = np.array([c.mode == EXACT for c in configs], dtype=bool)
     budget = np.array([c.max_rounds for c in configs])
-    # a player whose row has not changed since they last best-responded
-    # (their own move counts as a change) would find the same best response
-    # again and keep still, so they are skipped: moves[r] counts row r's
-    # strategy changes, and asked[r, i] is moves[r] when player i last
-    # best-responded in row r
-    moves = np.zeros(b, dtype=np.int64)
-    asked = np.full((b, n), -1, dtype=np.int64)
     out: list[StrategyProfile | None] = [None] * b
     live = np.arange(b)
     for rnd in range(int(budget.max())):
@@ -585,15 +578,12 @@ def _dynamics(
         ])
         changed = np.zeros(b, dtype=bool)
         for pos in range(n):
-            due = moves[live] != asked[live, orders[:, pos]]
-            rows, who = live[due], orders[due, pos]
-            asked[rows, who] = moves[rows]
+            rows, who = live, orders[:, pos]
             ex = exact[rows]
             for r, i in zip(rows[~ex].tolist(), who[~ex].tolist()):
                 br = best_response(i, views[r], params, configs[r].mode)
                 if br.utility > utility(views[r], i, params) + EPS_DEV:
                     views[r].set_strategy(i, br.links, br.x, br.y)
-                    moves[r] += 1
                     changed[r] = True
             rows, who = rows[ex], who[ex]
             if not rows.size:
@@ -604,7 +594,6 @@ def _dynamics(
             G[rows, who] = _link_rows(who, pick[better], n)
             X[rows, who] = new_x[better]
             Y[rows, who] = new_y[better]
-            moves[rows] += 1
             changed[rows] = True
         for r in live[~changed[live]]:
             out[r] = StrategyProfile(X[r].copy(), Y[r].copy(), G[r].copy())
@@ -665,8 +654,8 @@ def _candidates(
 
     The tag is None for the empty profile, the independent construction and
     the dynamics results, which count whatever class they verify as.  The
-    seeded dynamics starts run as one lockstep batch; when the independent
-    construction's repair runs in the same mode, its start joins that batch.
+    seeded dynamics starts and the repair of the greedy independent profile
+    (construct_independent, in its own mode) run as one lockstep batch.
     """
     starts = [StrategyProfile.isolated(params)]
     starts += [_anchored_start(params, s / _DYNAMICS_STARTS) for s in range(1, _DYNAMICS_STARTS)]
@@ -674,14 +663,9 @@ def _candidates(
         DynamicsConfig(max_rounds=60, order=RANDOM_PERMUTATION, seed=s, mode=mode)
         for s in range(_DYNAMICS_STARTS)
     ]
-    repair = _repair_config(params)
-    if repair.mode == mode:
-        greedy = _greedy_independent(params)
-        *settled, repaired = _dynamics(starts + [greedy], params, configs + [repair])
-        independent = greedy if repaired is None else repaired
-    else:
-        settled = _dynamics(starts, params, configs)
-        independent = construct_independent(params)
+    greedy = _greedy_independent(params)
+    *settled, repaired = _dynamics(starts + [greedy], params, configs + [_repair_config(params)])
+    independent = greedy if repaired is None else repaired
 
     out: list[tuple[StrategyProfile, str | None]] = [
         (StrategyProfile.isolated(params), None),

@@ -301,6 +301,11 @@ def gross_value(params: GameParams, i, xi, yi, x_bar, y_bar):
         np.multiply(t, vx, out=bx, where=t > 0.0)
         np.multiply(1.0 - t, vy, out=by, where=t < 1.0)
     else:
+        # one player: the array branch gives the same numbers, but its
+        # temporaries cost more than the arithmetic in the scalar calls from
+        # `utility` and `best_response`; with it alone, bench/run.py
+        # tasks_per_s fell to 0.90x on sweep-configs and 0.84x on batch-small
+        # (medians of 10 alternating pairs, 2-core Xeon, numpy 2.4)
         bx = t * spec.value(xi + x_bar) if t > 0.0 else 0.0
         by = (1.0 - t) * spec.value(yi + y_bar) if t < 1.0 else 0.0
     return bx + by - params.cost_vec[i] * (xi + yi)

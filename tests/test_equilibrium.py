@@ -512,20 +512,24 @@ def test_lockstep_dynamics_matches_sequential(game):
     assert starts[0].g.sum() == 0 and np.array_equal(starts[0].x, params.x_hat)
 
 
-def test_independent_repair_joins_the_dynamics_batch(monkeypatch):
-    # n <= 16 in exact mode: one _dynamics call covers the seeded starts and
-    # the repair of the greedy independent profile
+@pytest.mark.parametrize("mode", ["exact", "structural"])
+def test_independent_repair_joins_the_dynamics_batch(monkeypatch, mode):
+    # one _dynamics call covers the seeded starts and the repair of the
+    # greedy independent profile, which at n <= 16 runs in exact mode
+    # whatever the mode of the starts
     params = _dynamics_games()[7]
+    assert params.n <= 16
     calls = []
     real = eq._dynamics
 
     def counting(starts, params, configs):
-        calls.append([c.order for c in configs])
+        calls.append([(c.order, c.mode) for c in configs])
         return real(starts, params, configs)
 
     monkeypatch.setattr(eq, "_dynamics", counting)
-    candidates = eq._candidates(params, "exact")
-    assert calls == [["random_permutation"] * eq._DYNAMICS_STARTS + ["round_robin"]]
+    candidates = eq._candidates(params, mode)
+    starts = [("random_permutation", mode)] * eq._DYNAMICS_STARTS
+    assert calls == [starts + [("round_robin", "exact")]]
     monkeypatch.undo()
     assert candidates[1][0].g.tobytes() == construct_independent(params).g.tobytes()
     assert candidates[1][0].x.tobytes() == construct_independent(params).x.tobytes()
