@@ -105,13 +105,6 @@ def _gross_utilities(
     return gross - params.k * subsets.sum(axis=1), xi, yi
 
 
-def _gross_opt(i: int, links, profile: StrategyProfile, params: GameParams) -> float:
-    """Best achievable utility for a fixed link set, excluding link fees."""
-    links = list(links)
-    gross, _, _ = _top_up(i, float(profile.x[links].sum()), float(profile.y[links].sum()), params)
-    return float(gross)
-
-
 ADD = "add"
 DELETE = "delete"
 
@@ -133,9 +126,12 @@ def gains_from_link(
     if action == DELETE and not linked:
         raise ValueError("link not present")
     targets = set(profile.links_of(i).tolist())
-    with_j = sorted(targets | {j})
-    without_j = sorted(targets - {j})
-    return _gross_opt(i, with_j, profile, params) - _gross_opt(i, without_j, profile, params)
+
+    def gross(links):
+        x_bar, y_bar = float(profile.x[links].sum()), float(profile.y[links].sum())
+        return float(_top_up(i, x_bar, y_bar, params)[0])
+
+    return gross(sorted(targets | {j})) - gross(sorted(targets - {j}))
 
 
 def _structural_candidates(i: int, profile: StrategyProfile, params: GameParams) -> np.ndarray:

@@ -132,9 +132,21 @@ def _profile_payload(profile: StrategyProfile) -> dict:
 
 
 def _profile_from_payload(payload: dict, n: int) -> StrategyProfile:
+    """The profile a report embeds; a missing field or a link that is not a
+    pair of player indices in [0, n) is a ConfigError."""
+    if not isinstance(payload, dict) or not {"x", "y", "links"} <= payload.keys():
+        raise ConfigError("a profile needs x, y and links")
+    links = payload["links"]
+    # bool is an int subclass, and JSON numbers like 1.7 or -1 must not index
+    if not isinstance(links, list) or not all(
+        isinstance(link, list) and len(link) == 2
+        and all(type(v) is int and 0 <= v < n for v in link)
+        for link in links
+    ):
+        raise ConfigError(f"profile links must be pairs of player indices in [0, {n})")
     g = np.zeros((n, n), dtype=np.int8)
-    for i, j in payload["links"]:
-        g[int(i), int(j)] = 1
+    for i, j in links:
+        g[i, j] = 1
     return StrategyProfile(np.asarray(payload["x"], float), np.asarray(payload["y"], float), g)
 
 

@@ -20,9 +20,9 @@ from .best_response import (
     Deviation,
     _best_responses,
     _link_rows,
+    _top_up,
     best_response,
     find_profitable_deviation,
-    optimal_contributions,
 )
 from .metrics import welfare
 from .model import EPS_DEV, GameParams, StrategyProfile, utilities, utility
@@ -74,37 +74,25 @@ class DynamicsConfig:
 
 
 # ----------------------------------------------------------------------
-# gains against isolated providers, and the empty-network threshold
+# the link gain of an isolated player, and the empty-network threshold
 # ----------------------------------------------------------------------
 
-def _gl_matrix(params: GameParams) -> np.ndarray:
-    """GL[i, j]: i's gross gain from linking j on the empty network.
+def _link_gain(i, x_prov, y_prov, params: GameParams):
+    """Gross gain for player i, isolated at their autarky bundle, from linking
+    a provider of (x_prov, y_prov) and topping up against it.
 
-    Everyone sits at their isolation demand, so the gain has a closed form:
-    the saved own provision (capped at what j supplies) plus the benefit jump
-    on any good where j out-provides i.
+    The gain has a closed form: the saved own provision (capped at what the
+    provider supplies) plus the benefit jump on any good where the provider
+    out-supplies i.  Broadcasts over an index array ``i`` and array provisions.
     """
-    xh, yh = params.x_hat, params.y_hat
-    t = params.types
-    spec = params.benefit
-    fx = spec.value(xh)  # -inf where xh == 0; those rows carry zero weight
-    fy = spec.value(yh)
-    ci = params.cost_vec[:, None]
-    save = ci * (np.minimum.outer(xh, xh) + np.minimum.outer(yh, yh))
+    t, xh, yh = params.types[i], params.x_hat[i], params.y_hat[i]
+    f = params.benefit.value
+    # a zero-weight good counts 0, also where log's f(0) = -inf makes it NaN
     with np.errstate(invalid="ignore"):
-        gain_x = np.where(
-            t[:, None] > 0.0,
-            t[:, None] * np.maximum(fx[None, :] - fx[:, None], 0.0),
-            0.0,
-        )
-        gain_y = np.where(
-            t[:, None] < 1.0,
-            (1.0 - t[:, None]) * np.maximum(fy[None, :] - fy[:, None], 0.0),
-            0.0,
-        )
-    gl = save + gain_x + gain_y
-    np.fill_diagonal(gl, -np.inf)
-    return gl
+        jump_x = np.where(t > 0.0, t * np.maximum(f(x_prov) - f(xh), 0.0), 0.0)
+        jump_y = np.where(t < 1.0, (1.0 - t) * np.maximum(f(y_prov) - f(yh), 0.0), 0.0)
+    save = params.cost_vec[i] * (np.minimum(xh, x_prov) + np.minimum(yh, y_prov))
+    return save + jump_x + jump_y
 
 
 def k_tilde(params: GameParams) -> float:
@@ -112,23 +100,9 @@ def k_tilde(params: GameParams) -> float:
 
     The empty network is the unique equilibrium exactly when k exceeds this.
     """
-    return float(np.max(_gl_matrix(params)))
-
-
-def _gl_to_provider(
-    p: int, x_prov: float, y_prov: float, params: GameParams
-) -> float:
-    """Gross gain for isolated p from linking a provider of (x_prov, y_prov)."""
-    t = params.types[p]
-    spec = params.benefit
-    xh = params.x_hat[p]
-    yh = params.y_hat[p]
-    gain = params.cost_vec[p] * (min(xh, x_prov) + min(yh, y_prov))
-    if t > 0.0 and x_prov > xh:
-        gain += t * float(spec.value(x_prov) - spec.value(xh))
-    if t < 1.0 and y_prov > yh:
-        gain += (1.0 - t) * float(spec.value(y_prov) - spec.value(yh))
-    return gain
+    gains = _link_gain(np.arange(params.n)[:, None], params.x_hat, params.y_hat, params)
+    np.fill_diagonal(gains, -np.inf)
+    return float(np.max(gains))
 
 
 # ----------------------------------------------------------------------
@@ -161,47 +135,49 @@ def _repair_config(params: GameParams) -> DynamicsConfig:
 
 
 def _greedy_independent(params: GameParams) -> StrategyProfile:
+    """The greedy pass of construct_independent, one array pass per anchor.
+
+    Players attaching to the same anchors do not affect each other: each
+    compares their own autarky bundle with the anchors', and nobody links
+    to them, so each anchor's attachments are one vectorised step.
+    """
     n = params.n
     prof = StrategyProfile.isolated(params)
     if params.k > k_tilde(params):
         return prof
 
-    lo, hi = 0, n - 1  # types 0 and 1
-    prof.x[hi], prof.y[hi] = params.x_hat[hi], 0.0
-    prof.x[lo], prof.y[lo] = 0.0, params.y_hat[lo]
+    # types 0 and 1 provide only their one good already at autarky
+    lo, hi = 0, n - 1
+    mid = np.arange(1, n - 1)
+    pays = _link_gain(mid[:, None], prof.x[[hi, lo]], prof.y[[hi, lo]], params) >= params.k
+    prof.g[mid[:, None], [hi, lo]] = pays
+    _top_up_links(prof, mid, params)
 
-    attached = np.zeros(n, dtype=bool)
-    attached[[lo, hi]] = True
-    processed = np.zeros(n, dtype=bool)
-    processed[[lo, hi]] = True
-
-    for p in range(1, n - 1):
-        targets = []
-        if _gl_to_provider(p, params.x_hat[hi], 0.0, params) >= params.k:
-            targets.append(hi)
-        if _gl_to_provider(p, 0.0, params.y_hat[lo], params) >= params.k:
-            targets.append(lo)
-        if targets:
-            xi, yi = optimal_contributions(p, targets, prof, params)
-            prof.set_strategy(p, targets, xi, yi)
-            attached[p] = True
-
+    done = np.zeros(n, dtype=bool)
+    done[[lo, hi]] = True
+    done[mid] = pays.any(axis=1)
     extremeness = np.maximum(params.types, 1.0 - params.types)
-    while True:
-        pending = np.flatnonzero(~attached & ~processed)
-        if pending.size == 0:
-            break
+    while not done.all():
+        pending = np.flatnonzero(~done)
         # most extreme isolated player; ties resolved toward the lower index
-        anchor = int(pending[np.argmax(extremeness[pending])])
-        processed[anchor] = True
-        prof.x[anchor], prof.y[anchor] = params.x_hat[anchor], params.y_hat[anchor]
-        for j in np.flatnonzero(~attached & ~processed):
-            gl = _gl_to_provider(int(j), prof.x[anchor], prof.y[anchor], params)
-            if gl >= params.k:
-                xi, yi = optimal_contributions(int(j), [anchor], prof, params)
-                prof.set_strategy(int(j), [anchor], xi, yi)
-                attached[j] = True
+        anchor = pending[np.argmax(extremeness[pending])]
+        pending = pending[pending != anchor]
+        join = pending[_link_gain(pending, prof.x[anchor], prof.y[anchor], params) >= params.k]
+        prof.g[join, anchor] = 1
+        _top_up_links(prof, join, params)
+        done[anchor] = True
+        done[join] = True
     return prof
+
+
+def _top_up_links(prof: StrategyProfile, players: np.ndarray, params: GameParams) -> None:
+    """Set each player's contributions to the top-up against their links.
+
+    Every player here links at most two providers, so each spillover sum has
+    one rounding in any summation order.
+    """
+    rows = prof.g[players]
+    _, prof.x[players], prof.y[players] = _top_up(players, rows @ prof.x, rows @ prof.y, params)
 
 
 def _attach_to_core(prof: StrategyProfile, core: tuple[int, ...], params: GameParams) -> None:
@@ -216,24 +192,15 @@ def _attach_to_core(prof: StrategyProfile, core: tuple[int, ...], params: GamePa
     outside = np.ones(params.n, dtype=bool)
     outside[core] = False
     others = np.flatnonzero(outside)
-    t = params.types[others]
-    xh, yh = params.x_hat[others], params.y_hat[others]
-    cost = params.cost_vec[others]
-    spec = params.benefit
     options = [links for r in range(len(core) + 1) for links in itertools.combinations(core, r)]
     best_u = np.full(others.size, -np.inf)
     best_opt = np.zeros(others.size, dtype=int)
-    best_x, best_y = xh.copy(), yh.copy()
+    best_x, best_y = params.x_hat[others], params.y_hat[others]
     for o, links in enumerate(options):
-        x_bar = float(prof.x[list(links)].sum())
-        y_bar = float(prof.y[list(links)].sum())
-        xi = np.maximum(xh - x_bar, 0.0)
-        yi = np.maximum(yh - y_bar, 0.0)
-        # zero-weight goods count 0 even where the log family gives -inf
-        with np.errstate(invalid="ignore"):
-            bx = np.where(t > 0.0, t * spec.value(xi + x_bar), 0.0)
-            by = np.where(t < 1.0, (1.0 - t) * spec.value(yi + y_bar), 0.0)
-        u = bx + by - cost * (xi + yi) - params.k * len(links)
+        gross, xi, yi = _top_up(
+            others, float(prof.x[list(links)].sum()), float(prof.y[list(links)].sum()), params
+        )
+        u = gross - params.k * len(links)
         better = u > best_u + EPS_DEV
         best_u[better] = u[better]
         best_opt[better] = o
@@ -248,16 +215,28 @@ def _attach_to_core(prof: StrategyProfile, core: tuple[int, ...], params: GamePa
     prof.y[others] = best_y
 
 
-def _build_collaborative(params: GameParams, i: int, j: int) -> StrategyProfile | None:
-    """Unverified collaborative template; None when a core link cannot pay."""
-    if not params.types[i] > 0.5 > params.types[j]:
-        raise ValueError("need t_i > 1/2 > t_j")
-    # each core player must find their own link worth its fee, or the
-    # template cannot survive verification
-    keep_j = _gl_to_provider(j, params.x_hat[i], 0.0, params)
-    keep_i = _gl_to_provider(i, 0.0, params.y_hat[j], params)
-    if keep_j < params.k or keep_i < params.k:
-        return None
+def _core_links_pay(params: GameParams, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Whether the sponsored core links of the two templates on (a, b) pay
+    their fee: (partially collaborative, collaborative).
+
+    A template whose core link cannot pay cannot survive verification.  In
+    the partially collaborative core b must find linking a's full bundle
+    worth it, and the y gap b tops up must be worth linking to (anyone's
+    best gain from b is c * gap); in the collaborative core each specialist
+    must find linking the other worth it.  ``a`` and ``b`` broadcast, so one
+    call covers every pair.
+    """
+    if not ((params.types[a] > 0.5) & (params.types[b] < 0.5)).all():
+        raise ValueError("need t_a > 1/2 > t_b")
+    k = params.k
+    xa, ya, yb = params.x_hat[a], params.y_hat[a], params.y_hat[b]
+    partial = (params.cost_vec[0] * (yb - ya) >= k) & (_link_gain(b, xa, ya, params) >= k)
+    collaborative = (_link_gain(b, xa, 0.0, params) >= k) & (_link_gain(a, 0.0, yb, params) >= k)
+    return partial, collaborative
+
+
+def _build_collaborative(params: GameParams, i: int, j: int) -> StrategyProfile:
+    """Unverified collaborative template on t_i > 1/2 > t_j."""
     prof = StrategyProfile.isolated(params)
     prof.set_strategy(i, [j], params.x_hat[i], 0.0)
     prof.set_strategy(j, [i], 0.0, params.y_hat[j])
@@ -269,28 +248,19 @@ def construct_collaborative(
     params: GameParams, i: int, j: int, mode: str = EXACT
 ) -> StrategyProfile | None:
     """Two-player core with mutual links, each fully specialized in one good."""
+    if not _core_links_pay(params, i, j)[1]:
+        return None
     prof = _build_collaborative(params, i, j)
-    if prof is not None and verify_nash(prof, params, mode).classification == COLLABORATIVE:
+    if verify_nash(prof, params, mode).classification == COLLABORATIVE:
         return prof
     return None
 
 
-def _build_partially_collaborative(
-    params: GameParams, a: int, b: int
-) -> StrategyProfile | None:
-    """Unverified partially-collaborative template; None when b's link cannot pay."""
-    if not params.types[a] > 0.5 > params.types[b]:
-        raise ValueError("need t_a > 1/2 > t_b")
-    gap = params.y_hat[b] - params.y_hat[a]
-    # the top-up must be worth linking to (anyone's best gain from b is c*gap)
-    # and b must find the link to a worth keeping
-    if params.cost_vec[0] * gap < params.k:
-        return None
-    if _gl_to_provider(b, params.x_hat[a], params.y_hat[a], params) < params.k:
-        return None
+def _build_partially_collaborative(params: GameParams, a: int, b: int) -> StrategyProfile:
+    """Unverified partially-collaborative template on t_a > 1/2 > t_b."""
     prof = StrategyProfile.isolated(params)
     prof.set_strategy(a, [], params.x_hat[a], params.y_hat[a])
-    prof.set_strategy(b, [a], 0.0, gap)
+    prof.set_strategy(b, [a], 0.0, params.y_hat[b] - params.y_hat[a])
     _attach_to_core(prof, (a, b), params)
     return prof
 
@@ -300,11 +270,10 @@ def construct_partially_collaborative(
 ) -> StrategyProfile | None:
     """Two-player core where only b sponsors: a provides its full autarky
     bundle, b free rides on a's x and tops up the y gap."""
+    if not _core_links_pay(params, a, b)[0]:
+        return None
     prof = _build_partially_collaborative(params, a, b)
-    if (
-        prof is not None
-        and verify_nash(prof, params, mode).classification == PARTIALLY_COLLABORATIVE
-    ):
+    if verify_nash(prof, params, mode).classification == PARTIALLY_COLLABORATIVE:
         return prof
     return None
 
@@ -620,24 +589,23 @@ def _anchored_start(params: GameParams, quantile: float) -> StrategyProfile:
 
     Dynamics started from here can discover equilibria whose contributor sits
     in the interior of the type space, which pure greedy play from the empty
-    profile never reaches.
+    profile never reaches.  Everyone for whom a link to the anchor pays
+    sponsors it and tops up.
     """
     prof = StrategyProfile.isolated(params)
     anchor = int(np.argmin(np.abs(params.types - quantile)))
-    for p in range(params.n):
-        if p == anchor:
-            continue
-        gl = _gl_to_provider(p, params.x_hat[anchor], params.y_hat[anchor], params)
-        if gl >= params.k:
-            xi, yi = optimal_contributions(p, [anchor], prof, params)
-            prof.set_strategy(p, [anchor], xi, yi)
+    others = np.flatnonzero(np.arange(params.n) != anchor)
+    gains = _link_gain(others, params.x_hat[anchor], params.y_hat[anchor], params)
+    join = others[gains >= params.k]
+    prof.g[join, anchor] = 1
+    _top_up_links(prof, join, params)
     return prof
 
 
-def _moderate_side_candidates(params: GameParams) -> tuple[list[int], list[int]]:
+def _moderate_side_candidates(params: GameParams) -> tuple[np.ndarray, np.ndarray]:
     t = params.types
-    above = [int(i) for i in np.argsort(np.abs(t - 0.5), kind="stable") if t[i] > 0.5]
-    below = [int(i) for i in np.argsort(np.abs(t - 0.5), kind="stable") if t[i] < 0.5]
+    order = np.argsort(np.abs(t - 0.5), kind="stable")
+    above, below = order[t[order] > 0.5], order[t[order] < 0.5]
     if params.n > 25:
         above, below = above[:12], below[:12]
     return above, below
@@ -672,14 +640,13 @@ def _candidates(
         (independent, None),
     ]
     above, below = _moderate_side_candidates(params)
-    for a in above:
-        for b in below:
-            pc = _build_partially_collaborative(params, a, b)
-            if pc is not None:
-                out.append((pc, PARTIALLY_COLLABORATIVE))
-            co = _build_collaborative(params, a, b)
-            if co is not None:
-                out.append((co, COLLABORATIVE))
+    partial, collaborative = _core_links_pay(params, above[:, None], below)
+    for r, a in enumerate(above.tolist()):
+        for s, b in enumerate(below.tolist()):
+            if partial[r, s]:
+                out.append((_build_partially_collaborative(params, a, b), PARTIALLY_COLLABORATIVE))
+            if collaborative[r, s]:
+                out.append((_build_collaborative(params, a, b), COLLABORATIVE))
     out.extend((prof, None) for prof in settled if prof is not None)
     return out
 

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import EPS_DEV, GameParams, StrategyProfile
+from .best_response import _top_up
 from .equilibrium import NonConvergenceError
+from .model import EPS_DEV, GameParams, StrategyProfile, gross_value
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _WEIGHT_TOL = 1e-8
@@ -43,12 +44,8 @@ def utility_two_way(profile: StrategyProfile, i: int, params: GameParams) -> flo
     access = _closure_access(profile, i)
     x_bar = float(profile.x[access].sum())
     y_bar = float(profile.y[access].sum())
-    t = params.types[i]
-    spec = params.benefit
-    bx = t * float(spec.value(profile.x[i] + x_bar)) if t > 0.0 else 0.0
-    by = (1.0 - t) * float(spec.value(profile.y[i] + y_bar)) if t < 1.0 else 0.0
     eta = int(profile.g[i].sum())
-    return bx + by - params.cost_vec[i] * (profile.x[i] + profile.y[i]) - eta * params.k
+    return gross_value(params, i, profile.x[i], profile.y[i], x_bar, y_bar) - eta * params.k
 
 
 def _two_way_fixed_point(g: np.ndarray, params: GameParams) -> tuple[np.ndarray, np.ndarray]:
@@ -75,19 +72,13 @@ def _two_way_best_utility(i: int, profile: StrategyProfile, params: GameParams) 
     in_links = np.flatnonzero(profile.g[:, i] != 0)
     others = [j for j in range(n) if j != i]
     best = -np.inf
-    t = params.types[i]
-    spec = params.benefit
     for r in range(len(others) + 1):
         for combo in itertools.combinations(others, r):
             access = sorted(set(combo) | set(in_links.tolist()))
-            x_bar = float(profile.x[access].sum())
-            y_bar = float(profile.y[access].sum())
-            xi = max(params.x_hat[i] - x_bar, 0.0)
-            yi = max(params.y_hat[i] - y_bar, 0.0)
-            bx = t * float(spec.value(xi + x_bar)) if t > 0.0 else 0.0
-            by = (1.0 - t) * float(spec.value(yi + y_bar)) if t < 1.0 else 0.0
-            u = bx + by - params.cost_vec[i] * (xi + yi) - params.k * r
-            best = max(best, u)
+            gross, _, _ = _top_up(
+                i, float(profile.x[access].sum()), float(profile.y[access].sum()), params
+            )
+            best = max(best, gross - params.k * r)
     return best
 
 
@@ -137,11 +128,14 @@ class WeightedProfile:
         n = self.x.size
         if self.w.shape != (n, n) or self.y.size != n:
             raise ValueError("inconsistent weighted profile dimensions")
-        if np.any(self.x < 0) or np.any(self.y < 0):
+        # NaN fails every comparison, so only tests that it must pass catch it
+        if not (np.isfinite(self.x).all() and np.isfinite(self.y).all()):
+            raise ValueError("contributions must be finite")
+        if not ((self.x >= 0).all() and (self.y >= 0).all()):
             raise ValueError("contributions must be non-negative")
         if np.any(np.diagonal(self.w) != 0):
             raise ValueError("weight matrix must have a zero diagonal")
-        if np.any((self.w < 0) | (self.w > 1)):
+        if not ((self.w >= 0) & (self.w <= 1)).all():
             raise ValueError("weights must lie in [0, 1]")
 
     @classmethod
@@ -159,13 +153,10 @@ class WeightedProfile:
 
 def utility_weighted(wp: WeightedProfile, i: int, params: GameParams) -> float:
     """A link of weight a grants a of the target's provision and costs a*k."""
-    t = params.types[i]
-    spec = params.benefit
     x_bar = float(wp.w[i] @ wp.x)
     y_bar = float(wp.w[i] @ wp.y)
-    bx = t * float(spec.value(wp.x[i] + x_bar)) if t > 0.0 else 0.0
-    by = (1.0 - t) * float(spec.value(wp.y[i] + y_bar)) if t < 1.0 else 0.0
-    return bx + by - params.cost_vec[i] * (wp.x[i] + wp.y[i]) - params.k * float(wp.w[i].sum())
+    gross = gross_value(params, i, wp.x[i], wp.y[i], x_bar, y_bar)
+    return gross - params.k * float(wp.w[i].sum())
 
 
 def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
@@ -201,18 +192,11 @@ def best_response_weighted(
     """
     if params.n > _WEIGHT_MAX_PLAYERS:
         raise ValueError(f"weighted best response supports at most {_WEIGHT_MAX_PLAYERS} players")
-    t = params.types[i]
-    spec = params.benefit
     w = wp.w[i].copy()
 
     def value_at(row: np.ndarray) -> float:
-        x_bar = float(row @ wp.x)
-        y_bar = float(row @ wp.y)
-        xi = max(params.x_hat[i] - x_bar, 0.0)
-        yi = max(params.y_hat[i] - y_bar, 0.0)
-        bx = t * float(spec.value(xi + x_bar)) if t > 0.0 else 0.0
-        by = (1.0 - t) * float(spec.value(yi + y_bar)) if t < 1.0 else 0.0
-        return bx + by - params.cost_vec[i] * (xi + yi) - params.k * float(row.sum())
+        gross, _, _ = _top_up(i, float(row @ wp.x), float(row @ wp.y), params)
+        return gross - params.k * float(row.sum())
 
     current = value_at(w)
     for _ in range(_WEIGHT_STALL_CYCLES):
@@ -236,11 +220,8 @@ def best_response_weighted(
     else:
         raise NonConvergenceError("weighted coordinate ascent stalled")
 
-    x_bar = float(w @ wp.x)
-    y_bar = float(w @ wp.y)
-    xi = max(params.x_hat[i] - x_bar, 0.0)
-    yi = max(params.y_hat[i] - y_bar, 0.0)
-    return w, xi, yi
+    _, xi, yi = _top_up(i, float(w @ wp.x), float(w @ wp.y), params)
+    return w, float(xi), float(yi)
 
 
 def equilibrium_weighted(params: GameParams) -> WeightedProfile:
@@ -298,7 +279,8 @@ class PerturbationParams:
     eps5: np.ndarray | float = 0.0
 
     def __post_init__(self):
-        if self.eps1 < 0 or self.eps1 > 3.0:
+        # written as ranges each value must pass, so NaN fails them
+        if not 0.0 <= self.eps1 <= 3.0:
             raise ValueError("eps1 must lie in [0, 3]")
         if abs(self.eps1 - 1.0) < 1e-12:
             raise ValueError("eps1 = 1 is a CES singularity")
@@ -306,6 +288,8 @@ class PerturbationParams:
             raise ValueError("eps2 must lie in [0, 1]")
         if not 0.0 <= self.eps3 <= 1.0:
             raise ValueError("eps3 must lie in [0, 1]")
+        if not (np.isfinite(self.eps4).all() and np.isfinite(self.eps5).all()):
+            raise ValueError("eps4 and eps5 must be finite")
 
     def cost_shift(self, n: int) -> np.ndarray:
         return np.broadcast_to(np.asarray(self.eps4, dtype=float), (n,)).copy()

@@ -142,6 +142,27 @@ def test_verify_rejects_non_finite_profile(tmp_path):
         assert not (tmp_path / "verify.json").exists()
 
 
+def test_verify_rejects_bad_link_indices(tmp_path):
+    cfg = _base_config(n=4)
+    solve_out = tmp_path / "solve.json"
+    cfg["output"]["path"] = str(solve_out)
+    assert main(["--config", _write(tmp_path / "c.json", cfg)]) == 0
+    # out of range, negative (would wrap), fractional (would truncate), a
+    # boolean, not a pair, and no links at all
+    for case, links in enumerate(([[1, 4]], [[1, -1]], [[1.7, 2]], [[True, 2]], [[1]], None)):
+        report = json.loads(solve_out.read_text())
+        profile = report["records"][0]["profile"]
+        if links is None:
+            del profile["links"]
+        else:
+            profile["links"] = links
+        bad_report = _write(tmp_path / f"bad_{case}.json", report)
+        vcfg = _base_config(n=4, command="verify", verify_profile=bad_report)
+        vcfg["output"]["path"] = str(tmp_path / "verify.json")
+        assert main(["--config", _write(tmp_path / "v.json", vcfg)]) == 2, links
+        assert not (tmp_path / "verify.json").exists()
+
+
 def test_law_of_few_report(tmp_path):
     cfg = _base_config(command="law_of_few", k=0.9, law_of_few={"n_list": [10, 20]})
     out = tmp_path / "o.json"

@@ -14,6 +14,7 @@ from netpublic import (
     GameParams,
     NonConvergenceError,
     StrategyProfile,
+    TruncNormal,
     UNIFORM,
     best_response_dynamics,
     brute_force_equilibria,
@@ -25,6 +26,7 @@ from netpublic import (
     contribution_fixed_point,
     find_profitable_deviation,
     k_tilde,
+    optimal_contributions,
     sample_types,
     verify_nash,
     utility,
@@ -140,6 +142,186 @@ def test_k_tilde_dense_log_society():
     params = GameParams(types, 1.0, 0.5, BenefitSpec.log())
     kt = k_tilde(params)
     assert 0.99 <= kt <= 1.0
+
+
+def _gl_to_provider_reference(p, x_prov, y_prov, params):
+    """The scalar link gain the broadcasting one replaced."""
+    t = params.types[p]
+    spec = params.benefit
+    xh = params.x_hat[p]
+    yh = params.y_hat[p]
+    gain = params.cost_vec[p] * (min(xh, x_prov) + min(yh, y_prov))
+    if t > 0.0 and x_prov > xh:
+        gain += t * float(spec.value(x_prov) - spec.value(xh))
+    if t < 1.0 and y_prov > yh:
+        gain += (1.0 - t) * float(spec.value(y_prov) - spec.value(yh))
+    return gain
+
+
+def _gl_matrix_reference(params):
+    """The empty-network gain matrix k_tilde used to take its maximum of."""
+    xh, yh = params.x_hat, params.y_hat
+    t = params.types
+    spec = params.benefit
+    fx = spec.value(xh)
+    fy = spec.value(yh)
+    ci = params.cost_vec[:, None]
+    save = ci * (np.minimum.outer(xh, xh) + np.minimum.outer(yh, yh))
+    with np.errstate(invalid="ignore"):
+        gain_x = np.where(
+            t[:, None] > 0.0, t[:, None] * np.maximum(fx[None, :] - fx[:, None], 0.0), 0.0
+        )
+        gain_y = np.where(
+            t[:, None] < 1.0, (1.0 - t[:, None]) * np.maximum(fy[None, :] - fy[:, None], 0.0), 0.0
+        )
+    gl = save + gain_x + gain_y
+    np.fill_diagonal(gl, -np.inf)
+    return gl
+
+
+def _anchored_start_reference(params, quantile):
+    """Player-by-player loop the array pass replaced."""
+    prof = StrategyProfile.isolated(params)
+    anchor = int(np.argmin(np.abs(params.types - quantile)))
+    xa, ya = params.x_hat[anchor], params.y_hat[anchor]
+    for p in range(params.n):
+        if p != anchor and _gl_to_provider_reference(p, xa, ya, params) >= params.k:
+            prof.set_strategy(p, [anchor], *optimal_contributions(p, [anchor], prof, params))
+    return prof
+
+
+def _greedy_independent_reference(params):
+    """Player-by-player greedy pass the per-anchor array passes replaced."""
+    n = params.n
+    prof = StrategyProfile.isolated(params)
+    if params.k > float(np.max(_gl_matrix_reference(params))):
+        return prof
+    lo, hi = 0, n - 1
+    prof.x[hi], prof.y[hi] = params.x_hat[hi], 0.0
+    prof.x[lo], prof.y[lo] = 0.0, params.y_hat[lo]
+    attached = np.zeros(n, dtype=bool)
+    attached[[lo, hi]] = True
+    processed = attached.copy()
+    for p in range(1, n - 1):
+        targets = []
+        if _gl_to_provider_reference(p, params.x_hat[hi], 0.0, params) >= params.k:
+            targets.append(hi)
+        if _gl_to_provider_reference(p, 0.0, params.y_hat[lo], params) >= params.k:
+            targets.append(lo)
+        if targets:
+            prof.set_strategy(p, targets, *optimal_contributions(p, targets, prof, params))
+            attached[p] = True
+    extremeness = np.maximum(params.types, 1.0 - params.types)
+    while True:
+        pending = np.flatnonzero(~attached & ~processed)
+        if pending.size == 0:
+            return prof
+        anchor = int(pending[np.argmax(extremeness[pending])])
+        processed[anchor] = True
+        prof.x[anchor], prof.y[anchor] = params.x_hat[anchor], params.y_hat[anchor]
+        for j in np.flatnonzero(~attached & ~processed).tolist():
+            if _gl_to_provider_reference(j, prof.x[anchor], prof.y[anchor], params) >= params.k:
+                prof.set_strategy(j, [anchor], *optimal_contributions(j, [anchor], prof, params))
+                attached[j] = True
+
+
+def _gain_games():
+    """Random games of every family at n = 3..60, some with per-player costs,
+    some with k above the threshold and some with k equal to a link gain;
+    mirror-image societies; then the three shipped configs' games at their
+    k values."""
+    rng = np.random.default_rng(606)
+    games = []
+    for trial in range(36):
+        n = int(rng.integers(3, 61))
+        spec = FAMILIES[trial % len(FAMILIES)]
+        c = float(rng.uniform(0.5, 2.0))
+        costs = c * rng.uniform(0.2, 1.0, n) if trial % 4 == 3 else None
+        probe = GameParams(random_types(rng, n), c, 1.0, spec, costs)
+        games.append(probe.with_k(float(rng.uniform(0.02, 1.2)) * k_tilde(probe)))
+        if trial % 6 == 0:
+            # k equal to a gain, from the mid-type anchor or the largest one:
+            # a link that exactly covers its fee is taken
+            anchor = int(np.argmin(np.abs(probe.types - 0.5)))
+            p = (anchor + 1) % n
+            games.append(probe.with_k(_gl_to_provider_reference(
+                p, probe.x_hat[anchor], probe.y_hat[anchor], probe)))
+            games.append(probe.with_k(k_tilde(probe)))
+    # mirror-image types tie in extremeness; the lower index anchors first
+    for mirrored in ([0.0, 0.25, 0.375, 0.625, 0.75, 1.0],
+                     [0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0]):
+        for spec in FAMILIES:
+            probe = GameParams(np.array(mirrored), 1.0, 1.0, spec)
+            games.extend(probe.with_k(u * k_tilde(probe)) for u in (0.5, 0.93, 0.976, 1.0))
+    shipped = (
+        (UNIFORM, 200, 7, 1.0, BenefitSpec.log(), (0.5, 0.98, 0.994)),
+        (TruncNormal(0.5, 1.0), 300, 11, 1e-5, BenefitSpec.power(0.15), (0.676, 0.677, 0.78, 0.82)),
+        (UNIFORM, 10, 24, 1.0, BenefitSpec.log(), (0.9,)),
+    )
+    for dist, n, seed, c, spec, ks in shipped:
+        types = sample_types(dist, n, seed)
+        games.extend(GameParams(types, c, k, spec) for k in ks)
+    return games
+
+
+def test_link_gain_matches_scalar_and_matrix_references():
+    rng = np.random.default_rng(607)
+    for params in _gain_games():
+        n = params.n
+        rows = np.arange(n)[:, None]
+        want = _gl_matrix_reference(params)
+        assert k_tilde(params) == float(np.max(want))
+        got = eq._link_gain(rows, params.x_hat, params.y_hat, params)
+        np.fill_diagonal(got, -np.inf)
+        assert np.array_equal(got, want)
+        # the provider bundles the constructors offer: autarky, specialized
+        # in one good, and arbitrary ones with zeros
+        zeros = np.zeros(n)
+        x_any = rng.uniform(0.0, 2.0, n) * (rng.random(n) < 0.8) * params.x_hat.max()
+        y_any = rng.uniform(0.0, 2.0, n) * (rng.random(n) < 0.8) * params.y_hat.max()
+        for xp, yp in ((params.x_hat, params.y_hat), (params.x_hat, zeros), (zeros, params.y_hat),
+                       (x_any, y_any)):
+            got = eq._link_gain(rows, xp, yp, params)
+            pick = rng.choice(n, size=min(n, 12), replace=False)
+            want = [[_gl_to_provider_reference(i, xp[j], yp[j], params) for j in range(n)]
+                    for i in pick]
+            assert np.array_equal(got[pick], want)
+            assert all(eq._link_gain(int(i), xp[j], yp[j], params) == got[i, j]
+                       for i, j in zip(pick, rng.integers(0, n, pick.size)))
+
+
+def test_template_pay_check_matches_scalar_reference():
+    # the pre-checks the two-player-core builders made one pair at a time
+    for params in _gain_games():
+        above, below = eq._moderate_side_candidates(params)
+        partial, collaborative = eq._core_links_pay(params, above[:, None], below)
+        for r, a in enumerate(above.tolist()):
+            for s, b in enumerate(below.tolist()):
+                xa, ya, yb = params.x_hat[a], params.y_hat[a], params.y_hat[b]
+                want_partial = not (
+                    params.cost_vec[0] * (yb - ya) < params.k
+                    or _gl_to_provider_reference(b, xa, ya, params) < params.k
+                )
+                want_collaborative = not (
+                    _gl_to_provider_reference(b, xa, 0.0, params) < params.k
+                    or _gl_to_provider_reference(a, 0.0, yb, params) < params.k
+                )
+                assert partial[r, s] == want_partial, (a, b)
+                assert collaborative[r, s] == want_collaborative, (a, b)
+                assert eq._core_links_pay(params, a, b)[1] == want_collaborative
+
+
+def test_array_constructors_match_reference_loops():
+    for params in _gain_games():
+        pairs = [(eq._greedy_independent(params), _greedy_independent_reference(params))]
+        pairs += [
+            (eq._anchored_start(params, s / 8), _anchored_start_reference(params, s / 8))
+            for s in range(1, 8)
+        ]
+        for got, want in pairs:
+            assert np.array_equal(got.g, want.g)
+            assert np.array_equal(got.x, want.x)
+            assert np.array_equal(got.y, want.y)
 
 
 def test_empty_profile_is_nash_above_threshold():

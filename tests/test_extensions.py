@@ -236,6 +236,31 @@ def test_perturbed_rejects_ces_singularity():
         PerturbationParams(eps2=1.5)
 
 
+# each of these passed the range checks before they required finite values
+@pytest.mark.parametrize("bad", [
+    {"eps1": math.nan},
+    {"eps4": math.inf},
+    {"eps4": np.array([0.0, math.nan, 0.0])},
+    {"eps5": np.array([0.0, 0.0, -math.inf])},
+])
+def test_perturbed_rejects_non_finite_shocks(bad):
+    with pytest.raises(ValueError):
+        PerturbationParams(**bad)
+
+
+@pytest.mark.parametrize("field, at, bad", [
+    ("x", 1, math.nan), ("x", 0, math.inf), ("y", 2, math.nan), ("y", 1, math.inf),
+    ("w", (0, 1), math.nan),
+])
+def test_weighted_profile_rejects_non_finite_entries(field, at, bad):
+    parts = {"x": np.ones(3), "y": np.ones(3), "w": np.full((3, 3), 0.5)}
+    np.fill_diagonal(parts["w"], 0.0)
+    WeightedProfile(**parts)
+    parts[field][at] = bad
+    with pytest.raises(ValueError):
+        WeightedProfile(**parts)
+
+
 def test_perturbed_contributions_match_topup_at_zero_eps():
     params = _params([0.0, 0.4, 1.0], k=0.4)
     g = np.zeros((3, 3), dtype=np.int8)

@@ -2,6 +2,7 @@
 and of the batched exact best response against full subset enumeration."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from netpublic import (
     utility,
     verify_nash,
 )
+from netpublic import cli
 from netpublic.best_response import _best_responses, _link_rows
 from tests.conftest import FAMILIES
 
@@ -71,6 +73,19 @@ def test_oracle_members_meet_consumption_floor(params):
         assert np.all(cons_y >= params.y_hat - 1e-9)
         assert np.allclose(cons_x[prof.x > 0], params.x_hat[prof.x > 0], atol=1e-9)
         assert np.allclose(cons_y[prof.y > 0], params.y_hat[prof.y > 0], atol=1e-9)
+
+
+@ORACLE_SETTINGS
+@given(small_games())
+def test_oracle_members_survive_the_json_round_trip(params):
+    # written as a report writes a profile (12 significant digits), read
+    # back as verify reads it, the profile re-verifies as the same class
+    for prof in brute_force_equilibria(params):
+        text = json.dumps(cli._round_sig(cli._profile_payload(prof)))
+        back = cli._profile_from_payload(json.loads(text), params.n)
+        assert np.array_equal(back.g, prof.g)
+        want = verify_nash(prof, params, "exact").classification
+        assert verify_nash(back, params, "exact").classification == want
 
 
 @st.composite
