@@ -5,6 +5,8 @@ its isolation demand), so a best response reduces to a search over link sets.
 Exact mode enumerates every subset of opponents; structural mode restricts
 the search to plausible targets (current link receivers plus the largest
 providers), which is what equilibrium structure says sponsors actually use.
+Each mode has one search, an array kernel over a stack of rows: ``best_response``
+is its batch of one, and ``find_profitable_deviation`` one call over every player.
 """
 
 from __future__ import annotations
@@ -15,13 +17,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import EPS_DEV, GameParams, StrategyProfile, gross_value, utility
+from .model import EPS_DEV, GameParams, StrategyProfile, gross_value, utilities
 
 EXACT = "exact"
 STRUCTURAL = "structural"
 
 _EXACT_MAX_PLAYERS = 16
-# rows x subsets per pass of _best_responses, which bounds its temporaries
+# rows x subsets per pass of either kernel, which bounds their temporaries
 _KERNEL_CHUNK = 1 << 15
 _STRUCTURAL_TOP_PROVIDERS = 4
 _STRUCTURAL_MAX_LINKS = 3
@@ -55,13 +57,10 @@ def _subset_matrix(m: int, cap: int | None) -> np.ndarray:
     the fewest-links-then-lexicographic tie-break directly.
     """
     top = m if cap is None else min(cap, m)
-    rows = []
-    for size in range(top + 1):
-        for combo in itertools.combinations(range(m), size):
-            row = np.zeros(m)
-            row[list(combo)] = 1.0
-            rows.append(row)
-    mat = np.array(rows) if rows else np.zeros((1, 0))
+    combos = [c for size in range(top + 1) for c in itertools.combinations(range(m), size)]
+    mat = np.zeros((len(combos), m))
+    for r, combo in enumerate(combos):
+        mat[r, list(combo)] = 1.0
     mat.setflags(write=False)
     return mat
 
@@ -81,11 +80,8 @@ def optimal_contributions(
     links = list(links)
     if i in links:
         raise ValueError("a player cannot link to themselves")
-    x_bar = float(profile.x[links].sum())
-    y_bar = float(profile.y[links].sum())
-    xi = max(params.x_hat[i] - x_bar, 0.0)
-    yi = max(params.y_hat[i] - y_bar, 0.0)
-    return xi, yi
+    _, xi, yi = _top_up(i, float(profile.x[links].sum()), float(profile.y[links].sum()), params)
+    return float(xi), float(yi)
 
 
 def _top_up(i, x_bar, y_bar, params: GameParams):
@@ -134,17 +130,80 @@ def gains_from_link(
     return gross(sorted(targets | {j})) - gross(sorted(targets - {j}))
 
 
-def _structural_candidates(i: int, profile: StrategyProfile, params: GameParams) -> np.ndarray:
-    """Current link receivers plus the largest providers by x + y, without i.
+def _structural_candidates(players, X: np.ndarray, Y: np.ndarray, indeg: np.ndarray) -> np.ndarray:
+    """Candidates of player players[r] in row r, in index order: the receivers
+    (indeg > 0) and the largest providers by x + y (a stable ranking, so equal
+    provision goes to the lower index), without the player.  Rows are padded
+    with n to one more than the largest count, so every row ends in n.  X, Y
+    and indeg may also be one row shared by every player."""
+    b, n = len(players), X.shape[1]
+    top = np.argsort(-(X + Y), axis=1, kind="stable")[:, : _STRUCTURAL_TOP_PROVIDERS + 1]
+    keep = top != players[:, None]
+    keep &= np.cumsum(keep, axis=1) <= _STRUCTURAL_TOP_PROVIDERS
+    cand = np.broadcast_to(indeg > 0, (b, n)).copy()
+    cand[np.nonzero(keep)[0], np.broadcast_to(top, keep.shape)[keep]] = True
+    cand[np.arange(b), players] = False
+    count = cand.sum(axis=1)
+    table = np.full((b, count.max() + 1), n)
+    r, j = np.nonzero(cand)
+    table[r, np.arange(r.size) - np.repeat(np.cumsum(count) - count, count)] = j
+    return table
 
-    Providers are ranked by a stable sort, so equal provision goes to the
-    lower index.
-    """
-    cand = profile.g.any(axis=0)
-    top = np.argsort(-(profile.x + profile.y), kind="stable")[: _STRUCTURAL_TOP_PROVIDERS + 1]
-    cand[top[top != i][:_STRUCTURAL_TOP_PROVIDERS]] = True
-    cand[i] = False
-    return np.flatnonzero(cand)
+
+@lru_cache(maxsize=128)
+def _subset_members(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Member slots (padded with slot m) and size of each subset of at most
+    _STRUCTURAL_MAX_LINKS of m slots, in the (size, lex) order of _subset_matrix."""
+    cap = _STRUCTURAL_MAX_LINKS
+    combos = [c for size in range(min(cap, m) + 1) for c in itertools.combinations(range(m), size)]
+    out = np.array([c + (m,) * (cap - len(c)) for c in combos]), np.array([len(c) for c in combos])
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def _structural_responses(players, X, Y, indeg, params: GameParams):
+    """Structural best response of players[r] against row r of X, Y and indeg
+    (or their one shared row): among subsets of at most _STRUCTURAL_MAX_LINKS
+    candidates in (size, lex) order, the first within EPS_DEV of the maximum.
+    A padded slot provides nothing, so the same subset without it, which comes
+    first, is never worse.  Spillovers add a subset's members left to right, so
+    no sum depends on the padding and each row equals its batch of one bit for bit."""
+    b, n = len(players), X.shape[1]
+    table = _structural_candidates(players, X, Y, indeg)
+    slots, sizes = _subset_members(table.shape[1] - 1)
+    rows = np.arange(b)[:, None] if len(X) > 1 else 0
+    xs = np.where(table < n, X[rows, np.minimum(table, n - 1)], 0.0)
+    ys = np.where(table < n, Y[rows, np.minimum(table, n - 1)], 0.0)
+    pick, out = np.empty(b, dtype=np.intp), np.empty((3, b))
+    step = max(1, _KERNEL_CHUNK // len(slots))
+    for lo in range(0, b, step):
+        part = slice(lo, lo + step)
+        x_bar, y_bar = xs[part, slots[:, 0]], ys[part, slots[:, 0]]
+        for col in slots.T[1:]:
+            x_bar, y_bar = x_bar + xs[part, col], y_bar + ys[part, col]
+        gross, xi, yi = _top_up(players[part, None], x_bar, y_bar, params)
+        util = gross - params.k * sizes
+        pick[part] = np.argmax(util >= util.max(axis=1)[:, None] - EPS_DEV, axis=1)
+        at = np.arange(len(util)), pick[part]
+        out[:, part] = xi[at], yi[at], util[at]
+    links = np.zeros((b, n + 1), dtype=np.int8)
+    links[np.arange(b)[:, None], np.take_along_axis(table, slots[pick], axis=1)] = 1
+    return links[:, :n], *out
+
+
+def _responses(mode: str, players, X, Y, indeg, params: GameParams):
+    """Best responses of players[r] against row r through ``mode``'s kernel:
+    link rows, x, y and utility."""
+    if mode == STRUCTURAL:
+        return _structural_responses(players, X, Y, indeg, params)
+    if mode != EXACT:
+        raise ValueError(f"unknown mode {mode!r}")
+    if len(X) < len(players):  # one row shared by every player
+        shape = (len(players), X.shape[1])
+        X, Y = np.broadcast_to(X, shape), np.broadcast_to(Y, shape)
+    pick, x, y, u = _best_responses(players, X, Y, params)
+    return _link_rows(players, pick, X.shape[1]), x, y, u
 
 
 def best_response(
@@ -154,31 +213,14 @@ def best_response(
 
     Among strategies within EPS_DEV of the maximum, the one with the fewest
     links and then the lexicographically smallest target set is returned, so
-    results are identical across platforms and traversal orders.
+    results are identical across platforms and traversal orders.  This is
+    the mode's kernel on a batch of one.
     """
-    n = params.n
-    if mode == EXACT:
-        if n > _EXACT_MAX_PLAYERS:
-            raise ValueError(f"exact mode supports at most {_EXACT_MAX_PLAYERS} players")
-        cand = _opponents(n)[i]
-        cap = None
-    elif mode == STRUCTURAL:
-        cand = _structural_candidates(i, profile, params)
-        cap = _STRUCTURAL_MAX_LINKS
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-
-    subsets = _subset_matrix(len(cand), cap)
-    util, xi, yi = _gross_utilities(i, cand, subsets, profile, params)
-    best = np.max(util)
-    idx = int(np.argmax(util >= best - EPS_DEV))
-    chosen = cand[subsets[idx].astype(bool)]
-    return BestResponse(
-        links=tuple(int(j) for j in chosen),
-        x=float(xi[idx]),
-        y=float(yi[idx]),
-        utility=float(util[idx]),
+    links, x, y, u = _responses(
+        mode, np.array([i]), profile.x[None], profile.y[None], profile.in_degree()[None], params
     )
+    chosen = tuple(np.flatnonzero(links[0]).tolist())
+    return BestResponse(chosen, float(x[0]), float(y[0]), float(u[0]))
 
 
 @lru_cache(maxsize=32)
@@ -197,11 +239,9 @@ def _best_responses(
     ``players`` is an index array, one player per row, or a single index for
     every row.  Row r searches every subset of its n - 1 opponents, in the
     (size, lex) order of _subset_matrix, and keeps the first within EPS_DEV
-    of the row's maximum: the same candidates, subset sums (one 1 x (n-1)
-    product per row), top-up values and tie-break as
-    ``best_response(players[r], ..., EXACT)``, so each row equals it bit for
-    bit.  Links do not enter: a best response depends only on the others'
-    contributions.
+    of the row's maximum.  Its subset sums are one 1 x (n-1) product per
+    row, so each row equals its batch of one bit for bit.  Links do not
+    enter: a best response depends only on the others' contributions.
 
     Returns per row the index of the chosen subset in _subset_matrix(n - 1,
     None) (``_link_rows`` turns it into a link row), and the x, y and
@@ -248,16 +288,15 @@ def _link_rows(players: np.ndarray, pick: np.ndarray, n: int) -> np.ndarray:
 def find_profitable_deviation(
     profile: StrategyProfile, params: GameParams, mode: str = EXACT
 ) -> Deviation | None:
-    """Lowest-indexed player with a strategy improving by more than EPS_DEV."""
-    for i in range(params.n):
-        current = utility(profile, i, params)
-        br = best_response(i, profile, params, mode)
-        if br.utility > current + EPS_DEV:
-            return Deviation(
-                player=i,
-                new_links=br.links,
-                new_x=br.x,
-                new_y=br.y,
-                utility_gain=br.utility - current,
-            )
-    return None
+    """Lowest-indexed player with a strategy improving by more than EPS_DEV,
+    from one kernel call over every player."""
+    players = np.arange(params.n)
+    links, x, y, best = _responses(
+        mode, players, profile.x[None], profile.y[None], profile.in_degree()[None], params
+    )
+    current = utilities(params, players, profile.x[None], profile.y[None], profile.g)
+    i = int(np.argmax(best > current + EPS_DEV))  # the lowest-indexed deviator, if any
+    if not best[i] > current[i] + EPS_DEV:
+        return None
+    chosen = tuple(np.flatnonzero(links[i]).tolist())
+    return Deviation(i, chosen, float(x[i]), float(y[i]), float(best[i] - current[i]))

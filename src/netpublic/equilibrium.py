@@ -10,7 +10,7 @@ network structure: contributors are exactly the players receiving links.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -19,13 +19,12 @@ from .best_response import (
     STRUCTURAL,
     Deviation,
     _best_responses,
-    _link_rows,
+    _responses,
     _top_up,
-    best_response,
     find_profitable_deviation,
 )
 from .metrics import welfare
-from .model import EPS_DEV, GameParams, StrategyProfile, utilities, utility
+from .model import EPS_DEV, GameParams, StrategyProfile, utilities
 
 EMPTY = "Empty"
 INDEPENDENT = "Independent"
@@ -71,6 +70,10 @@ class DynamicsConfig:
     def __post_init__(self):
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be at least 1")
+        if self.order not in (ROUND_ROBIN, RANDOM_PERMUTATION):
+            raise ValueError(f"unknown order {self.order!r}")
+        if self.mode not in (EXACT, STRUCTURAL):
+            raise ValueError(f"unknown mode {self.mode!r}")
 
 
 # ----------------------------------------------------------------------
@@ -494,16 +497,10 @@ def verify_nash(
 ) -> EquilibriumReport:
     """Best-response check; classifies on success, witnesses on failure."""
     deviation = find_profitable_deviation(profile, params, mode)
+    report = classify(profile)
     if deviation is None:
-        return classify(profile)
-    contributors, periphery, isolated = _partition(profile)
-    return EquilibriumReport(
-        NON_EQUILIBRIUM,
-        tuple(int(v) for v in np.flatnonzero(contributors)),
-        tuple(int(v) for v in np.flatnonzero(periphery)),
-        tuple(int(v) for v in np.flatnonzero(isolated)),
-        [deviation],
-    )
+        return report
+    return replace(report, classification=NON_EQUILIBRIUM, violations=[deviation], note="")
 
 
 # ----------------------------------------------------------------------
@@ -520,9 +517,9 @@ def _dynamics(
     permutation per round, or index order for round robin), and the players
     best-respond one at a time, adopting a response that beats their current
     utility by more than EPS_DEV.  At each (round, position) every live row
-    moves its own player: exact-mode rows through one _best_responses call
-    and one ``utilities`` pass, other rows through ``best_response`` and
-    ``utility`` one row at a time.  A row leaves once a round changes
+    moves its own player, through one kernel call and one ``utilities`` pass
+    per mode; each row's in-degrees, which structural candidates read, are
+    kept up to date as its links change.  A row leaves once a round changes
     nothing; a row still changing after its max_rounds rounds leaves as not
     converged and comes back as None.
     """
@@ -530,10 +527,9 @@ def _dynamics(
     X = np.array([s.x for s in starts], dtype=float)
     Y = np.array([s.y for s in starts], dtype=float)
     G = np.array([s.g for s in starts], dtype=np.int8)
-    # views of the rows, for the rows outside exact mode
-    views = [StrategyProfile(X[r], Y[r], G[r]) for r in range(b)]
+    indeg = G.sum(axis=1)
     rngs = [np.random.Generator(np.random.PCG64(c.seed)) for c in configs]
-    exact = np.array([c.mode == EXACT for c in configs], dtype=bool)
+    modes = np.array([c.mode for c in configs])
     budget = np.array([c.max_rounds for c in configs])
     out: list[StrategyProfile | None] = [None] * b
     live = np.arange(b)
@@ -545,25 +541,20 @@ def _dynamics(
             rngs[r].permutation(n) if configs[r].order == RANDOM_PERMUTATION else np.arange(n)
             for r in live
         ])
+        groups = [(mode, modes[live] == mode) for mode in (EXACT, STRUCTURAL)]
+        groups = [(mode, live[sel], orders[sel]) for mode, sel in groups if sel.any()]
         changed = np.zeros(b, dtype=bool)
         for pos in range(n):
-            rows, who = live, orders[:, pos]
-            ex = exact[rows]
-            for r, i in zip(rows[~ex].tolist(), who[~ex].tolist()):
-                br = best_response(i, views[r], params, configs[r].mode)
-                if br.utility > utility(views[r], i, params) + EPS_DEV:
-                    views[r].set_strategy(i, br.links, br.x, br.y)
-                    changed[r] = True
-            rows, who = rows[ex], who[ex]
-            if not rows.size:
-                continue
-            pick, new_x, new_y, new_u = _best_responses(who, X[rows], Y[rows], params)
-            better = new_u > utilities(params, who, X[rows], Y[rows], G[rows, who]) + EPS_DEV
-            rows, who = rows[better], who[better]
-            G[rows, who] = _link_rows(who, pick[better], n)
-            X[rows, who] = new_x[better]
-            Y[rows, who] = new_y[better]
-            changed[rows] = True
+            for mode, rows, order in groups:
+                who, Xr, Yr = order[:, pos], X[rows], Y[rows]
+                links, new_x, new_y, new_u = _responses(mode, who, Xr, Yr, indeg[rows], params)
+                better = new_u > utilities(params, who, Xr, Yr, G[rows, who]) + EPS_DEV
+                moved, who, links = rows[better], who[better], links[better]
+                indeg[moved] += links - G[moved, who]
+                G[moved, who] = links
+                X[moved, who] = new_x[better]
+                Y[moved, who] = new_y[better]
+                changed[moved] = True
         for r in live[~changed[live]]:
             out[r] = StrategyProfile(X[r].copy(), Y[r].copy(), G[r].copy())
         live = live[changed[live]]

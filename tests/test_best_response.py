@@ -10,6 +10,7 @@ from netpublic import (
     DELETE,
     EPS_DEV,
     BenefitSpec,
+    Deviation,
     GameParams,
     StrategyProfile,
     best_response,
@@ -26,6 +27,8 @@ from netpublic.best_response import (
     _best_responses,
     _link_rows,
     _structural_candidates,
+    _structural_responses,
+    _subset_members,
 )
 from tests.conftest import random_scenario
 
@@ -202,10 +205,16 @@ def test_structural_candidates_match_reference(rng):
         g = (rng.random((n, n)) < rng.choice([0.0, 0.05, 0.3])).astype(np.int8)
         np.fill_diagonal(g, 0)
         prof = StrategyProfile(x, y, g)
+        # every player against the one shared row, as find_profitable_deviation asks
+        table = _structural_candidates(
+            np.arange(n), prof.x[None], prof.y[None], prof.in_degree()[None]
+        )
+        count = (table < n).sum(axis=1)
+        assert table.dtype.kind == "i" and table.shape == (n, count.max() + 1)
         for i in range(n):
-            got = _structural_candidates(i, prof, params)
             want = _structural_candidates_reference(i, prof, params)
-            assert got.dtype.kind == "i" and np.array_equal(got, want), (trial, i)
+            assert np.array_equal(table[i, : count[i]], want), (trial, i)
+            assert (table[i, count[i]:] == n).all(), (trial, i)
 
 
 def test_exact_mode_rejects_large_games():
@@ -234,6 +243,25 @@ def test_batched_best_response_chunks_match_single_rows(rng):
     params = random_scenario(rng, 17)
     with pytest.raises(ValueError):
         _best_responses(np.array([0]), params.x_hat[None], params.y_hat[None], params)
+
+
+def test_structural_kernel_chunks_match_single_rows(rng):
+    # about 30 candidates a row: one pass of the kernel holds a few rows,
+    # so 20 rows take several passes
+    n, b = 60, 20
+    params = random_scenario(rng, n)
+    X = params.x_hat * rng.uniform(0.0, 1.5, size=(b, n))
+    Y = params.y_hat * rng.uniform(0.0, 1.5, size=(b, n))
+    indeg = (rng.random((b, n)) < rng.uniform(0.3, 0.45, size=(b, 1))).astype(int)
+    players = rng.integers(0, n, size=b)
+    width = _structural_candidates(players, X, Y, indeg).shape[1]
+    assert 1 < _KERNEL_CHUNK // len(_subset_members(width - 1)[0]) < b
+    batch = _structural_responses(players, X, Y, indeg, params)
+    for r in range(b):
+        one = _structural_responses(players[r : r + 1], X[r : r + 1], Y[r : r + 1],
+                                    indeg[r : r + 1], params)
+        for got, alone in zip(batch, one):
+            assert got[r].tobytes() == alone[0].tobytes()
 
 
 def test_best_response_tie_band_prefers_fewer_links():
@@ -291,3 +319,40 @@ def test_deviation_found_for_zero_contributions():
     assert dev.player == 0
     assert dev.new_links == ()
     assert dev.new_y == pytest.approx(params.y_hat[0], abs=1e-12)
+
+
+def _deviation_reference(profile, params, mode):
+    """The per-player loop find_profitable_deviation ran before it searched
+    every player in one kernel call."""
+    for i in range(params.n):
+        current = utility(profile, i, params)
+        br = best_response(i, profile, params, mode)
+        if br.utility > current + EPS_DEV:
+            return Deviation(i, br.links, br.x, br.y, br.utility - current)
+    return None
+
+
+@pytest.mark.parametrize("mode", ["exact", "structural"])
+def test_batched_deviation_search_matches_per_player_loop(rng, mode):
+    later = 0
+    for trial in range(30):
+        n = int(rng.integers(3, 13 if mode == "exact" else 60))
+        params = random_scenario(rng, n)
+        if trial % 3 == 2:
+            g = (rng.random((n, n)) < rng.choice([0.05, 0.2, 0.5])).astype(np.int8)
+            np.fill_diagonal(g, 0)
+            x = params.x_hat * rng.uniform(0.0, 1.2, n) * (rng.random(n) < 0.7)
+            y = params.y_hat * rng.uniform(0.0, 1.2, n) * (rng.random(n) < 0.7)
+            prof = StrategyProfile(x, y, g)
+        else:
+            # an equilibrium, and on every other trial one player moved off it
+            prof = construct_independent(params)
+            if trial % 3 == 1:
+                j = int(rng.integers(n))
+                targets = [t for t in range(n) if t != j and rng.random() < 0.2]
+                prof.set_strategy(j, targets, params.x_hat[j] * rng.uniform(0.0, 1.2),
+                                  params.y_hat[j] * rng.uniform(0.0, 1.2))
+        want = _deviation_reference(prof, params, mode)
+        assert find_profitable_deviation(prof, params, mode) == want, trial
+        later += want is not None and want.player > 0
+    assert later >= 5

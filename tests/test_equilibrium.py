@@ -586,6 +586,15 @@ def test_classify_partition():
 # dynamics and the welfare-maximal equilibrium
 # ----------------------------------------------------------------------
 
+def test_dynamics_config_rejects_unknown_order_and_mode():
+    with pytest.raises(ValueError, match="order"):
+        DynamicsConfig(order="randm_permutation")
+    with pytest.raises(ValueError, match="mode"):
+        DynamicsConfig(mode="structral")
+    with pytest.raises(ValueError, match="max_rounds"):
+        DynamicsConfig(max_rounds=0)
+
+
 def test_dynamics_fixed_at_nash():
     params = _params([0.0, 0.5, 1.0], k=0.3)
     prof, _ = welfare_max_equilibrium(params, "exact")
@@ -656,26 +665,40 @@ def _dynamics_games():
     return games
 
 
+def _dense_start(params):
+    """Everyone at autarky, with about 40 % of all links in place: most
+    players receive links, so structural candidate sets are large."""
+    rng = np.random.default_rng(params.n)
+    g = (rng.random((params.n, params.n)) < 0.4).astype(np.int8)
+    np.fill_diagonal(g, 0)
+    return StrategyProfile(params.x_hat.copy(), params.y_hat.copy(), g)
+
+
 @pytest.mark.parametrize("game", range(18))
 def test_lockstep_dynamics_matches_sequential(game):
     params = _dynamics_games()[game]
-    mode = "exact" if params.n <= 12 else "structural"
+    # up to n = 12 structural rows run in the same batch as exact rows, from
+    # starts whose receiver counts range from none to most players
+    modes = ("exact", "structural") if params.n <= 12 else ("structural",)
     starts = [
         StrategyProfile.isolated(params),
         eq._anchored_start(params, 0.25),
         eq._anchored_start(params, 0.5),
         eq._anchored_start(params, 0.75),
         eq._greedy_independent(params),
+        _dense_start(params),
     ]
     batch, configs = [], []
-    for s, start in enumerate(starts):
-        for order in ("round_robin", "random_permutation"):
-            batch.append(start)
-            configs.append(DynamicsConfig(max_rounds=60, order=order, seed=s, mode=mode))
+    for mode in modes:
+        for s, start in enumerate(starts):
+            for order in ("round_robin", "random_permutation"):
+                batch.append(start)
+                configs.append(DynamicsConfig(max_rounds=60, order=order, seed=s, mode=mode))
     # one-round budgets: every start that moves at all runs out
     for s in (0, 4):
         batch.append(starts[s])
-        configs.append(DynamicsConfig(max_rounds=1, order="random_permutation", seed=s, mode=mode))
+        configs.append(DynamicsConfig(max_rounds=1, order="random_permutation", seed=s,
+                                      mode=modes[-1]))
     got = eq._dynamics(batch, params, configs)
     want = [_dynamics_reference(start, params, config) for start, config in zip(batch, configs)]
     assert [g is None for g in got] == [w is None for w in want]

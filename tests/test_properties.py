@@ -1,5 +1,6 @@
 """Property tests of the paper's invariants on the n <= 4 brute-force oracle,
-and of the batched exact best response against full subset enumeration."""
+of the batched exact best response against full subset enumeration, and of
+the batched structural best response against the scalar search it replaced."""
 
 import itertools
 import json
@@ -21,7 +22,13 @@ from netpublic import (
     verify_nash,
 )
 from netpublic import cli
-from netpublic.best_response import _best_responses, _link_rows
+from netpublic.best_response import (
+    _best_responses,
+    _gross_utilities,
+    _link_rows,
+    _structural_responses,
+    _subset_matrix,
+)
 from tests.conftest import FAMILIES
 
 # derandomized, so tier-1 runs the same examples every time
@@ -139,3 +146,58 @@ def test_batched_best_response_matches_single_and_enumeration(case):
         assert br.x == pytest.approx(want_x, abs=1e-12)
         assert br.y == pytest.approx(want_y, abs=1e-12)
         assert br.utility == pytest.approx(u, abs=1e-9)
+
+
+@st.composite
+def structural_cases(draw):
+    """A game on 3 to 120 players and 1 to 10 rows, each with its own
+    contributions, in-degrees and best-responding player.  Receiver shares
+    differ between rows, so candidate counts differ and rows are padded;
+    provision drawn from a few levels makes the provider ranking meet ties."""
+    n = draw(st.integers(3, 120))
+    b = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    types = np.array([0.0, *np.sort(rng.uniform(0.001, 0.999, n - 2)), 1.0])
+    spec = draw(st.sampled_from(FAMILIES))
+    params = GameParams(types, draw(st.floats(0.5, 2.0)), draw(st.floats(0.005, 1.5)), spec)
+    if draw(st.booleans()):
+        X, Y = rng.choice([0.0, 0.25, 0.5], (b, n)), rng.choice([0.0, 0.5], (b, n))
+    else:
+        X = rng.uniform(0.0, 1.5, (b, n)) * params.x_hat
+        Y = rng.uniform(0.0, 1.5, (b, n)) * params.y_hat
+    share = rng.choice([0.0, 0.02, 0.1, 0.3], (b, 1))
+    indeg = rng.integers(1, 4, (b, n)) * (rng.random((b, n)) < share)
+    players = rng.integers(0, n, b)
+    return params, players, X, Y, indeg
+
+
+def _structural_reference(i, x, y, receivers, params):
+    """The scalar structural search best_response ran before the batched
+    kernel: receivers plus the 4 largest providers, subsets of at most 3."""
+    cand = receivers.copy()
+    top = np.argsort(-(x + y), kind="stable")[:5]
+    cand[top[top != i][:4]] = True
+    cand[i] = False
+    cand = np.flatnonzero(cand)
+    subsets = _subset_matrix(len(cand), 3)
+    profile = StrategyProfile(x, y, np.zeros((params.n, params.n)))
+    util, xi, yi = _gross_utilities(i, cand, subsets, profile, params)
+    idx = int(np.argmax(util >= np.max(util) - EPS_DEV))
+    return tuple(cand[subsets[idx].astype(bool)].tolist()), xi[idx], yi[idx], util[idx]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(structural_cases())
+def test_structural_kernel_matches_batch_of_one_and_scalar_search(case):
+    params, players, X, Y, indeg = case
+    batch = _structural_responses(players, X, Y, indeg, params)
+    for r, i in enumerate(players.tolist()):
+        one = _structural_responses(players[r : r + 1], X[r : r + 1], Y[r : r + 1],
+                                    indeg[r : r + 1], params)
+        for got, alone in zip(batch, one):
+            assert got[r].tobytes() == alone[0].tobytes()
+        links, x, y, u = _structural_reference(i, X[r], Y[r], indeg[r] > 0, params)
+        assert tuple(np.flatnonzero(batch[0][r]).tolist()) == links
+        assert batch[1][r] == pytest.approx(x, rel=1e-12, abs=1e-12)
+        assert batch[2][r] == pytest.approx(y, rel=1e-12, abs=1e-12)
+        assert batch[3][r] == pytest.approx(u, rel=1e-12)
