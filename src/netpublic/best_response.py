@@ -6,7 +6,7 @@ Exact mode enumerates every subset of opponents; structural mode restricts
 the search to plausible targets (current link receivers plus the largest
 providers), which is what equilibrium structure says sponsors actually use.
 Each mode has one search, an array kernel over a stack of rows: ``best_response``
-is its batch of one, and ``find_profitable_deviation`` one call over every player.
+is its batch of one, and ``find_profitable_deviation`` one call per block of players.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ EXACT = "exact"
 STRUCTURAL = "structural"
 
 _EXACT_MAX_PLAYERS = 16
-# rows x subsets per pass of either kernel, which bounds their temporaries
+# bounds temporaries: rows x subsets per kernel pass, players x n per deviation block
 _KERNEL_CHUNK = 1 << 15
 _STRUCTURAL_TOP_PROVIDERS = 4
 _STRUCTURAL_MAX_LINKS = 3
@@ -57,10 +57,13 @@ def _subset_matrix(m: int, cap: int | None) -> np.ndarray:
     the fewest-links-then-lexicographic tie-break directly.
     """
     top = m if cap is None else min(cap, m)
-    combos = [c for size in range(top + 1) for c in itertools.combinations(range(m), size)]
-    mat = np.zeros((len(combos), m))
-    for r, combo in enumerate(combos):
-        mat[r, list(combo)] = 1.0
+    rows = []
+    for size in range(top + 1):
+        for combo in itertools.combinations(range(m), size):
+            row = np.zeros(m)
+            row[list(combo)] = 1.0
+            rows.append(row)
+    mat = np.array(rows) if rows else np.zeros((1, 0))
     mat.setflags(write=False)
     return mat
 
@@ -80,8 +83,11 @@ def optimal_contributions(
     links = list(links)
     if i in links:
         raise ValueError("a player cannot link to themselves")
-    _, xi, yi = _top_up(i, float(profile.x[links].sum()), float(profile.y[links].sum()), params)
-    return float(xi), float(yi)
+    x_bar = float(profile.x[links].sum())
+    y_bar = float(profile.y[links].sum())
+    xi = max(params.x_hat[i] - x_bar, 0.0)
+    yi = max(params.y_hat[i] - y_bar, 0.0)
+    return xi, yi
 
 
 def _top_up(i, x_bar, y_bar, params: GameParams):
@@ -200,8 +206,7 @@ def _responses(mode: str, players, X, Y, indeg, params: GameParams):
     if mode != EXACT:
         raise ValueError(f"unknown mode {mode!r}")
     if len(X) < len(players):  # one row shared by every player
-        shape = (len(players), X.shape[1])
-        X, Y = np.broadcast_to(X, shape), np.broadcast_to(Y, shape)
+        X, Y = (np.broadcast_to(v, (len(players), v.shape[1])) for v in (X, Y))
     pick, x, y, u = _best_responses(players, X, Y, params)
     return _link_rows(players, pick, X.shape[1]), x, y, u
 
@@ -289,14 +294,18 @@ def find_profitable_deviation(
     profile: StrategyProfile, params: GameParams, mode: str = EXACT
 ) -> Deviation | None:
     """Lowest-indexed player with a strategy improving by more than EPS_DEV,
-    from one kernel call over every player."""
-    players = np.arange(params.n)
-    links, x, y, best = _responses(
-        mode, players, profile.x[None], profile.y[None], profile.in_degree()[None], params
-    )
-    current = utilities(params, players, profile.x[None], profile.y[None], profile.g)
-    i = int(np.argmax(best > current + EPS_DEV))  # the lowest-indexed deviator, if any
-    if not best[i] > current[i] + EPS_DEV:
-        return None
-    chosen = tuple(np.flatnonzero(links[i]).tolist())
-    return Deviation(i, chosen, float(x[i]), float(y[i]), float(best[i] - current[i]))
+    searched one kernel call per block of _KERNEL_CHUNK // n players (which
+    bounds the block's link rows), up to the first block with a deviator."""
+    n, x, y, indeg = params.n, profile.x[None], profile.y[None], profile.in_degree()[None]
+    step = max(1, _KERNEL_CHUNK // n)
+    for lo in range(0, n, step):
+        players = np.arange(lo, min(lo + step, n))
+        links, new_x, new_y, best = _responses(mode, players, x, y, indeg, params)
+        current = utilities(params, players, x, y, profile.g[players])
+        better = best > current + EPS_DEV
+        if better.any():
+            r = int(np.argmax(better))
+            chosen = tuple(np.flatnonzero(links[r]).tolist())
+            return Deviation(int(players[r]), chosen, float(new_x[r]), float(new_y[r]),
+                             float(best[r] - current[r]))
+    return None

@@ -292,22 +292,12 @@ def gross_value(params: GameParams, i, xi, yi, x_bar, y_bar):
     zero taste weight counts 0 even where the log family would give -inf.
     """
     t = params.types[i]
-    spec = params.benefit
-    if np.ndim(t):
-        vx = spec.value(xi + x_bar)
-        vy = spec.value(yi + y_bar)
-        bx = np.zeros(np.broadcast(t, vx).shape)
-        by = np.zeros(np.broadcast(t, vy).shape)
-        np.multiply(t, vx, out=bx, where=t > 0.0)
-        np.multiply(1.0 - t, vy, out=by, where=t < 1.0)
-    else:
-        # one player: the array branch gives the same numbers, but its
-        # temporaries cost more than the arithmetic in the scalar calls from
-        # `utility` and `best_response`; with it alone, bench/run.py
-        # tasks_per_s fell to 0.90x on sweep-configs and 0.84x on batch-small
-        # (medians of 10 alternating pairs, 2-core Xeon, numpy 2.4)
-        bx = t * spec.value(xi + x_bar) if t > 0.0 else 0.0
-        by = (1.0 - t) * spec.value(yi + y_bar) if t < 1.0 else 0.0
+    vx = params.benefit.value(xi + x_bar)
+    vy = params.benefit.value(yi + y_bar)
+    bx = np.zeros(np.broadcast(t, vx).shape)
+    by = np.zeros(np.broadcast(t, vy).shape)
+    np.multiply(t, vx, out=bx, where=t > 0.0)
+    np.multiply(1.0 - t, vy, out=by, where=t < 1.0)
     return bx + by - params.cost_vec[i] * (xi + yi)
 
 

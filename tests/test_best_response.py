@@ -1,5 +1,6 @@
 """Single-player optimization: top-up contributions, link gains, best responses."""
 
+import importlib
 import math
 
 import numpy as np
@@ -31,6 +32,9 @@ from netpublic.best_response import (
     _subset_members,
 )
 from tests.conftest import random_scenario
+
+# the module; the package attribute of this name is the function
+br_module = importlib.import_module("netpublic.best_response")
 
 
 def _params(types, c=1.0, k=0.4, spec=None):
@@ -332,8 +336,18 @@ def _deviation_reference(profile, params, mode):
     return None
 
 
+@pytest.mark.parametrize("chunk", [_KERNEL_CHUNK, 64])
 @pytest.mark.parametrize("mode", ["exact", "structural"])
-def test_batched_deviation_search_matches_per_player_loop(rng, mode):
+def test_batched_deviation_search_matches_per_player_loop(rng, monkeypatch, mode, chunk):
+    # at chunk 64 the players are searched in blocks of 64 // n, and the
+    # search stops at the first block with a deviator
+    monkeypatch.setattr(br_module, "_KERNEL_CHUNK", chunk)
+    real, calls = br_module._responses, []
+
+    def counting(*args):
+        calls.append(len(args[1]))
+        return real(*args)
+
     later = 0
     for trial in range(30):
         n = int(rng.integers(3, 13 if mode == "exact" else 60))
@@ -353,6 +367,12 @@ def test_batched_deviation_search_matches_per_player_loop(rng, mode):
                 prof.set_strategy(j, targets, params.x_hat[j] * rng.uniform(0.0, 1.2),
                                   params.y_hat[j] * rng.uniform(0.0, 1.2))
         want = _deviation_reference(prof, params, mode)
+        calls.clear()
+        monkeypatch.setattr(br_module, "_responses", counting)
         assert find_profitable_deviation(prof, params, mode) == want, trial
+        monkeypatch.setattr(br_module, "_responses", real)
+        step = max(1, chunk // n)
+        searched = n if want is None else (want.player // step + 1) * step
+        assert sum(calls) == min(searched, n) and max(calls) <= step, trial
         later += want is not None and want.player > 0
     assert later >= 5

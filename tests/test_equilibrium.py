@@ -694,15 +694,20 @@ def test_lockstep_dynamics_matches_sequential(game):
             for order in ("round_robin", "random_permutation"):
                 batch.append(start)
                 configs.append(DynamicsConfig(max_rounds=60, order=order, seed=s, mode=mode))
-    # one-round budgets: every start that moves at all runs out
-    for s in (0, 4):
-        batch.append(starts[s])
-        configs.append(DynamicsConfig(max_rounds=1, order="random_permutation", seed=s,
-                                      mode=modes[-1]))
+    # one-round budgets in every mode: every start that moves at all runs out
+    empty_one_round = []
+    for mode in modes:
+        for s in (0, 4):
+            if s == 0:
+                empty_one_round.append(len(batch))
+            batch.append(starts[s])
+            configs.append(DynamicsConfig(max_rounds=1, order="random_permutation", seed=s,
+                                          mode=mode))
     got = eq._dynamics(batch, params, configs)
     want = [_dynamics_reference(start, params, config) for start, config in zip(batch, configs)]
     assert [g is None for g in got] == [w is None for w in want]
-    assert want[-2] is None  # below the threshold someone links from the empty network
+    # below the threshold someone links from the empty network
+    assert all(want[r] is None for r in empty_one_round)
     for g, w in zip(got, want):
         if w is not None:
             assert g.g.tobytes() == w.g.tobytes()
