@@ -4,7 +4,8 @@ Contributions given a fixed link set have a closed form (top up each good to
 its isolation demand), so a best response reduces to a search over link sets.
 Exact mode enumerates every subset of opponents; structural mode restricts
 the search to plausible targets (current link receivers plus the largest
-providers), which is what equilibrium structure says sponsors actually use.
+providers, less those whose standalone link gain cannot cover k), which is
+what equilibrium structure says sponsors actually use.
 Each mode has one search, an array kernel over a stack of rows: ``best_response``
 is its batch of one, and ``find_profitable_deviation`` one call per block of players.
 """
@@ -23,8 +24,8 @@ EXACT = "exact"
 STRUCTURAL = "structural"
 
 _EXACT_MAX_PLAYERS = 16
-# bounds temporaries: rows x subsets per kernel pass, players x n per deviation block
-_KERNEL_CHUNK = 1 << 15
+# bounds temporaries: rows x subsets per pass, players x n per deviation block or window row
+_KERNEL_CHUNK = 1 << 13
 _STRUCTURAL_TOP_PROVIDERS = 4
 _STRUCTURAL_MAX_LINKS = 3
 
@@ -136,22 +137,46 @@ def gains_from_link(
     return gross(sorted(targets | {j})) - gross(sorted(targets - {j}))
 
 
-def _structural_candidates(players, X: np.ndarray, Y: np.ndarray, indeg: np.ndarray) -> np.ndarray:
-    """Candidates of player players[r] in row r, in index order: the receivers
-    (indeg > 0) and the largest providers by x + y (a stable ranking, so equal
-    provision goes to the lower index), without the player.  Rows are padded
-    with n to one more than the largest count, so every row ends in n.  X, Y
-    and indeg may also be one row shared by every player."""
+def _link_gain(i, x_prov, y_prov, params: GameParams):
+    """Gross gain for player i, isolated at their autarky bundle, from linking
+    a provider of (x_prov, y_prov) and topping up against it.
+
+    The gain has a closed form: the saved own provision (capped at what the
+    provider supplies) plus the benefit jump on any good where the provider
+    out-supplies i.  Broadcasts over an index array ``i`` and array provisions.
+    """
+    t, xh, yh = params.types[i], params.x_hat[i], params.y_hat[i]
+    f = params.benefit.value
+    # a zero-weight good counts 0, also where log's f(0) = -inf makes it NaN
+    with np.errstate(invalid="ignore"):
+        jump_x = np.where(t > 0.0, t * np.maximum(f(x_prov) - f(xh), 0.0), 0.0)
+        jump_y = np.where(t < 1.0, (1.0 - t) * np.maximum(f(y_prov) - f(yh), 0.0), 0.0)
+    save = params.cost_vec[i] * (np.minimum(xh, x_prov) + np.minimum(yh, y_prov))
+    return save + jump_x + jump_y
+
+
+def _structural_candidates(players, src, X, Y, indeg, params: GameParams) -> np.ndarray:
+    """Candidates of player players[r] against state row src[r], in index
+    order: the receivers (indeg > 0) and the largest providers by x + y
+    (ranked once per state row, ties to the lower index), without the player
+    and without every target whose ``_link_gain`` is at most k - EPS_DEV.
+    Rows are padded with n past the largest count, so every row ends in n."""
     b, n = len(players), X.shape[1]
-    top = np.argsort(-(X + Y), axis=1, kind="stable")[:, : _STRUCTURAL_TOP_PROVIDERS + 1]
+    provision, top = X + Y, []
+    for _ in range(min(_STRUCTURAL_TOP_PROVIDERS + 1, n)):  # argmax: first among ties
+        top.append(np.argmax(provision, axis=1))
+        provision[np.arange(len(X)), top[-1]] = -np.inf
+    top = np.stack(top, axis=1)[src]
     keep = top != players[:, None]
     keep &= np.cumsum(keep, axis=1) <= _STRUCTURAL_TOP_PROVIDERS
-    cand = np.broadcast_to(indeg > 0, (b, n)).copy()
-    cand[np.nonzero(keep)[0], np.broadcast_to(top, keep.shape)[keep]] = True
+    cand = indeg[src] > 0
+    cand[np.nonzero(keep)[0], top[keep]] = True
     cand[np.arange(b), players] = False
-    count = cand.sum(axis=1)
-    table = np.full((b, count.max() + 1), n)
     r, j = np.nonzero(cand)
+    pays = _link_gain(players[r], X[src[r], j], Y[src[r], j], params) > params.k - EPS_DEV
+    r, j = r[pays], j[pays]
+    count = np.bincount(r, minlength=b)
+    table = np.full((b, count.max() + 1), n)
     table[r, np.arange(r.size) - np.repeat(np.cumsum(count) - count, count)] = j
     return table
 
@@ -168,19 +193,28 @@ def _subset_members(m: int) -> tuple[np.ndarray, np.ndarray]:
     return out
 
 
-def _structural_responses(players, X, Y, indeg, params: GameParams):
-    """Structural best response of players[r] against row r of X, Y and indeg
-    (or their one shared row): among subsets of at most _STRUCTURAL_MAX_LINKS
-    candidates in (size, lex) order, the first within EPS_DEV of the maximum.
-    A padded slot provides nothing, so the same subset without it, which comes
-    first, is never worse.  Spillovers add a subset's members left to right, so
-    no sum depends on the padding and each row equals its batch of one bit for bit."""
+def _structural_responses(players, src, X, Y, indeg, params: GameParams):
+    """Structural best response of players[r] against state row src[r] of X,
+    Y and indeg: among subsets of at most _STRUCTURAL_MAX_LINKS candidates in
+    (size, lex) order, the first within EPS_DEV of the maximum.
+
+    Dropping a target j whose gain d_j = _link_gain(i, x_j, y_j) is at most
+    k - EPS_DEV changes no answer.  i's gross value sums, over the goods, a
+    concave nondecreasing function of the good's spillover sum, so it is
+    submodular in the link set: adding j to any set S gains at most d_j, and
+    u(S + j) <= u(S) + d_j - k <= u(S) - EPS_DEV.  So S + j is never the
+    maximum, and S, which comes first, lies in the EPS_DEV band whenever S + j
+    does (up to rounding, far below EPS_DEV).  Kept candidates stay in index
+    order and padded slots provide nothing, so each kept subset keeps its rank
+    and, with spillovers added left to right, its utility bit for bit; a
+    padded subset never beats the same subset without the pad, which comes
+    first.  Each row equals its batch of one bit for bit."""
     b, n = len(players), X.shape[1]
-    table = _structural_candidates(players, X, Y, indeg)
+    table = _structural_candidates(players, src, X, Y, indeg, params)
     slots, sizes = _subset_members(table.shape[1] - 1)
-    rows = np.arange(b)[:, None] if len(X) > 1 else 0
-    xs = np.where(table < n, X[rows, np.minimum(table, n - 1)], 0.0)
-    ys = np.where(table < n, Y[rows, np.minimum(table, n - 1)], 0.0)
+    cols = src[:, None], np.minimum(table, n - 1)
+    xs = np.where(table < n, X[cols], 0.0)
+    ys = np.where(table < n, Y[cols], 0.0)
     pick, out = np.empty(b, dtype=np.intp), np.empty((3, b))
     step = max(1, _KERNEL_CHUNK // len(slots))
     for lo in range(0, b, step):
@@ -193,21 +227,20 @@ def _structural_responses(players, X, Y, indeg, params: GameParams):
         pick[part] = np.argmax(util >= util.max(axis=1)[:, None] - EPS_DEV, axis=1)
         at = np.arange(len(util)), pick[part]
         out[:, part] = xi[at], yi[at], util[at]
+    rows = np.arange(b)[:, None]
     links = np.zeros((b, n + 1), dtype=np.int8)
-    links[np.arange(b)[:, None], np.take_along_axis(table, slots[pick], axis=1)] = 1
+    links[rows, table[rows, slots[pick]]] = 1
     return links[:, :n], *out
 
 
-def _responses(mode: str, players, X, Y, indeg, params: GameParams):
-    """Best responses of players[r] against row r through ``mode``'s kernel:
-    link rows, x, y and utility."""
+def _responses(mode: str, players, src, X, Y, indeg, params: GameParams):
+    """Best responses of players[r] against state row src[r] of X, Y and
+    indeg through ``mode``'s kernel: link rows, x, y and utility."""
     if mode == STRUCTURAL:
-        return _structural_responses(players, X, Y, indeg, params)
+        return _structural_responses(players, src, X, Y, indeg, params)
     if mode != EXACT:
         raise ValueError(f"unknown mode {mode!r}")
-    if len(X) < len(players):  # one row shared by every player
-        X, Y = (np.broadcast_to(v, (len(players), v.shape[1])) for v in (X, Y))
-    pick, x, y, u = _best_responses(players, X, Y, params)
+    pick, x, y, u = _best_responses(players, X[src], Y[src], params)
     return _link_rows(players, pick, X.shape[1]), x, y, u
 
 
@@ -221,9 +254,8 @@ def best_response(
     results are identical across platforms and traversal orders.  This is
     the mode's kernel on a batch of one.
     """
-    links, x, y, u = _responses(
-        mode, np.array([i]), profile.x[None], profile.y[None], profile.in_degree()[None], params
-    )
+    state = profile.x[None], profile.y[None], profile.in_degree()[None]
+    links, x, y, u = _responses(mode, np.array([i]), np.array([0]), *state, params)
     chosen = tuple(np.flatnonzero(links[0]).tolist())
     return BestResponse(chosen, float(x[0]), float(y[0]), float(u[0]))
 
@@ -300,7 +332,8 @@ def find_profitable_deviation(
     step = max(1, _KERNEL_CHUNK // n)
     for lo in range(0, n, step):
         players = np.arange(lo, min(lo + step, n))
-        links, new_x, new_y, best = _responses(mode, players, x, y, indeg, params)
+        src = np.zeros_like(players)  # every player against the one profile
+        links, new_x, new_y, best = _responses(mode, players, src, x, y, indeg, params)
         current = utilities(params, players, x, y, profile.g[players])
         better = best > current + EPS_DEV
         if better.any():

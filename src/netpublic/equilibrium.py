@@ -18,7 +18,9 @@ from .best_response import (
     EXACT,
     STRUCTURAL,
     Deviation,
+    _KERNEL_CHUNK,
     _best_responses,
+    _link_gain,
     _responses,
     _top_up,
     find_profitable_deviation,
@@ -77,26 +79,8 @@ class DynamicsConfig:
 
 
 # ----------------------------------------------------------------------
-# the link gain of an isolated player, and the empty-network threshold
+# the empty-network threshold and constructive equilibria
 # ----------------------------------------------------------------------
-
-def _link_gain(i, x_prov, y_prov, params: GameParams):
-    """Gross gain for player i, isolated at their autarky bundle, from linking
-    a provider of (x_prov, y_prov) and topping up against it.
-
-    The gain has a closed form: the saved own provision (capped at what the
-    provider supplies) plus the benefit jump on any good where the provider
-    out-supplies i.  Broadcasts over an index array ``i`` and array provisions.
-    """
-    t, xh, yh = params.types[i], params.x_hat[i], params.y_hat[i]
-    f = params.benefit.value
-    # a zero-weight good counts 0, also where log's f(0) = -inf makes it NaN
-    with np.errstate(invalid="ignore"):
-        jump_x = np.where(t > 0.0, t * np.maximum(f(x_prov) - f(xh), 0.0), 0.0)
-        jump_y = np.where(t < 1.0, (1.0 - t) * np.maximum(f(y_prov) - f(yh), 0.0), 0.0)
-    save = params.cost_vec[i] * (np.minimum(xh, x_prov) + np.minimum(yh, y_prov))
-    return save + jump_x + jump_y
-
 
 def k_tilde(params: GameParams) -> float:
     """Largest gross link gain anywhere on the empty network.
@@ -107,10 +91,6 @@ def k_tilde(params: GameParams) -> float:
     np.fill_diagonal(gains, -np.inf)
     return float(np.max(gains))
 
-
-# ----------------------------------------------------------------------
-# constructive equilibria
-# ----------------------------------------------------------------------
 
 def construct_independent(params: GameParams) -> StrategyProfile:
     """Build an equilibrium where contributors sponsor no links.
@@ -516,12 +496,15 @@ def _dynamics(
     round draws its player order from the row's own PCG64(seed) (a fresh
     permutation per round, or index order for round robin), and the players
     best-respond one at a time, adopting a response that beats their current
-    utility by more than EPS_DEV.  At each (round, position) every live row
-    moves its own player, through one kernel call and one ``utilities`` pass
-    per mode; each row's in-degrees, which structural candidates read, are
-    kept up to date as its links change.  A row leaves once a round changes
-    nothing; a row still changing after its max_rounds rounds leaves as not
-    converged and comes back as None.
+    utility by more than EPS_DEV.  All live rows stand at the same (round,
+    position) and look ahead over a window of their next w positions: one
+    kernel call and one ``utilities`` pass per mode evaluate every entry
+    against its row's current state.  The window ends at its earliest
+    position where some row's player improves, and every row's move there is
+    applied; no row moved before it, so each row replays its run bit for bit.
+    w doubles after a window without a move, up to _KERNEL_CHUNK // n, and
+    drops back to 1 after a move.  A row leaves once a round changes nothing;
+    a row still changing after max_rounds rounds comes back as None.
     """
     b, n = len(starts), params.n
     X = np.array([s.x for s in starts], dtype=float)
@@ -533,6 +516,7 @@ def _dynamics(
     budget = np.array([c.max_rounds for c in configs])
     out: list[StrategyProfile | None] = [None] * b
     live = np.arange(b)
+    width, cap = 1, max(1, _KERNEL_CHUNK // n)
     for rnd in range(int(budget.max())):
         live = live[budget[live] > rnd]
         if not live.size:
@@ -543,18 +527,26 @@ def _dynamics(
         ])
         groups = [(mode, modes[live] == mode) for mode in (EXACT, STRUCTURAL)]
         groups = [(mode, live[sel], orders[sel]) for mode, sel in groups if sel.any()]
-        changed = np.zeros(b, dtype=bool)
-        for pos in range(n):
+        changed, pos = np.zeros(b, dtype=bool), 0
+        while pos < n:
+            w, window = min(width, n - pos), []
             for mode, rows, order in groups:
-                who, Xr, Yr = order[:, pos], X[rows], Y[rows]
-                links, new_x, new_y, new_u = _responses(mode, who, Xr, Yr, indeg[rows], params)
-                better = new_u > utilities(params, who, Xr, Yr, G[rows, who]) + EPS_DEV
-                moved, who, links = rows[better], who[better], links[better]
-                indeg[moved] += links - G[moved, who]
-                G[moved, who] = links
-                X[moved, who] = new_x[better]
-                Y[moved, who] = new_y[better]
+                who, src = order[:, pos : pos + w].ravel(), np.repeat(rows, w)
+                links, new_x, new_y, new_u = _responses(mode, who, src, X, Y, indeg, params)
+                better = new_u > utilities(params, who, X[src], Y[src], G[src, who]) + EPS_DEV
+                window.append((better.reshape(-1, w), who, src, links, new_x, new_y))
+            hit = np.any([better.any(axis=0) for better, *_ in window], axis=0)
+            if not hit.any():
+                pos, width = pos + w, min(2 * width, cap)
+                continue
+            q = int(np.argmax(hit))
+            for better, who, src, links, new_x, new_y in window:
+                idx = np.flatnonzero(better[:, q]) * w + q
+                moved, i = src[idx], who[idx]
+                indeg[moved] += links[idx] - G[moved, i]
+                G[moved, i], X[moved, i], Y[moved, i] = links[idx], new_x[idx], new_y[idx]
                 changed[moved] = True
+            pos, width = pos + q + 1, 1
         for r in live[~changed[live]]:
             out[r] = StrategyProfile(X[r].copy(), Y[r].copy(), G[r].copy())
         live = live[changed[live]]

@@ -160,7 +160,9 @@ class GameParams:
     """Immutable game description: types, costs, linking fee, benefit family.
 
     ``costs`` holds per-player contribution costs and defaults to the common
-    cost ``c``; the subsidy planner lowers individual entries.
+    cost ``c``; the subsidy planner lowers individual entries.  Costs must keep
+    2 n^2 (sum(x_hat) + sum(y_hat)) finite: top-up contributions never exceed
+    isolation demands, so that bounds every spillover sum and polarization.
     """
 
     types: np.ndarray
@@ -180,6 +182,9 @@ class GameParams:
             if not np.all(np.isfinite(costs) & (costs > 0)):
                 raise ValueError("all per-player costs must be finite and positive")
             object.__setattr__(self, "costs", costs)
+        with np.errstate(over="ignore"):
+            if not math.isfinite(2.0 * self.n**2 * (self.x_hat.sum() + self.y_hat.sum())):
+                raise ValueError("costs so small that isolation demands overflow")
 
     @property
     def n(self) -> int:

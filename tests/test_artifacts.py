@@ -1,10 +1,11 @@
 """CLI artifacts on the shipped configs, byte for byte against recorded copies.
 
-``tests/data/<config>.json`` is what
+``tests/data/<config>.<format>`` is what
 
-    python -m netpublic.cli --config configs/<config>.json --out <path> --format json
+    python -m netpublic.cli --config configs/<config>.json --out <path> --format <format>
 
-wrote when it was recorded.  A change that should not move any answer must
+wrote when it was recorded: JSON for every config, and CSV, the format the
+shipped sweep configs ask for, for the two sweeps.  A change that should not move any answer must
 leave every byte in place; a change that moves an answer on purpose
 re-records the copy in the same commit and says which answer moved and why.
 
@@ -24,9 +25,18 @@ ROOT = Path(__file__).resolve().parent.parent
 DATA = Path(__file__).resolve().parent / "data"
 
 
+def _artifact(name: str, fmt: str, tmp_path) -> bytes:
+    out = tmp_path / f"{name}.{fmt}"
+    config = ROOT / "configs" / f"{name}.json"
+    assert cli.main(["--config", str(config), "--out", str(out), "--format", fmt]) == 0
+    return out.read_bytes()
+
+
 @pytest.mark.parametrize("name", ["concave_sweep", "log_sweep", "subsidy_star"])
 def test_cli_artifact_matches_recorded_copy(name, tmp_path):
-    out = tmp_path / f"{name}.json"
-    config = ROOT / "configs" / f"{name}.json"
-    assert cli.main(["--config", str(config), "--out", str(out), "--format", "json"]) == 0
-    assert out.read_bytes() == (DATA / f"{name}.json").read_bytes()
+    assert _artifact(name, "json", tmp_path) == (DATA / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["concave_sweep", "log_sweep"])
+def test_cli_csv_artifact_matches_recorded_copy(name, tmp_path):
+    assert _artifact(name, "csv", tmp_path) == (DATA / f"{name}.csv").read_bytes()

@@ -26,6 +26,7 @@ from netpublic import (
 from netpublic.best_response import (
     _KERNEL_CHUNK,
     _best_responses,
+    _link_gain,
     _link_rows,
     _structural_candidates,
     _structural_responses,
@@ -197,28 +198,37 @@ def _structural_candidates_reference(i, profile, params):
 
 
 def test_structural_candidates_match_reference(rng):
+    kept = dropped = 0
     for trial in range(120):
         params = random_scenario(rng, int(rng.integers(3, 60)))
         n = params.n
-        if trial % 2:
-            # few provision levels, so the top-provider ranking meets ties
-            x = rng.choice([0.0, 0.5, 1.0], n)
-            y = rng.choice([0.0, 0.5], n)
-        else:
-            x, y = rng.uniform(0.0, 2.0, n), rng.uniform(0.0, 2.0, n)
-        g = (rng.random((n, n)) < rng.choice([0.0, 0.05, 0.3])).astype(np.int8)
-        np.fill_diagonal(g, 0)
-        prof = StrategyProfile(x, y, g)
-        # every player against the one shared row, as find_profitable_deviation asks
-        table = _structural_candidates(
-            np.arange(n), prof.x[None], prof.y[None], prof.in_degree()[None]
-        )
+        # two state rows; kernel row r asks for player r % n against row r // n
+        profiles = []
+        for _ in range(2):
+            if trial % 2:
+                # few provision levels, so the top-provider ranking meets ties
+                x = rng.choice([0.0, 0.5, 1.0], n)
+                y = rng.choice([0.0, 0.5], n)
+            else:
+                x, y = rng.uniform(0.0, 2.0, n), rng.uniform(0.0, 2.0, n)
+            g = (rng.random((n, n)) < rng.choice([0.0, 0.05, 0.3])).astype(np.int8)
+            np.fill_diagonal(g, 0)
+            profiles.append(StrategyProfile(x, y, g))
+        X, Y = np.array([p.x for p in profiles]), np.array([p.y for p in profiles])
+        indeg = np.array([p.in_degree() for p in profiles])
+        players, src = np.tile(np.arange(n), 2), np.repeat([0, 1], n)
+        table = _structural_candidates(players, src, X, Y, indeg, params)
         count = (table < n).sum(axis=1)
-        assert table.dtype.kind == "i" and table.shape == (n, count.max() + 1)
-        for i in range(n):
-            want = _structural_candidates_reference(i, prof, params)
-            assert np.array_equal(table[i, : count[i]], want), (trial, i)
-            assert (table[i, count[i]:] == n).all(), (trial, i)
+        assert table.dtype.kind == "i" and table.shape == (2 * n, count.max() + 1)
+        for r, (i, s) in enumerate(zip(players.tolist(), src.tolist())):
+            prof = profiles[s]
+            pool = _structural_candidates_reference(i, prof, params)
+            pays = _link_gain(i, prof.x[pool], prof.y[pool], params) > params.k - EPS_DEV
+            assert np.array_equal(table[r, : count[r]], pool[pays]), (trial, r)
+            assert (table[r, count[r]:] == n).all(), (trial, r)
+            kept, dropped = kept + pays.sum(), dropped + (~pays).sum()
+    # both sides of the pruning rule occur
+    assert kept > 1000 and dropped > 1000
 
 
 def test_exact_mode_rejects_large_games():
@@ -250,20 +260,22 @@ def test_batched_best_response_chunks_match_single_rows(rng):
 
 
 def test_structural_kernel_chunks_match_single_rows(rng):
-    # about 30 candidates a row: one pass of the kernel holds a few rows,
-    # so 20 rows take several passes
+    # about 20 candidates a row: one pass of the kernel holds a few rows,
+    # so 20 rows take several passes; below EPS_DEV, k - EPS_DEV is below
+    # every gain, so pruning keeps every candidate
     n, b = 60, 20
-    params = random_scenario(rng, n)
+    params = random_scenario(rng, n).with_k(EPS_DEV / 2)
     X = params.x_hat * rng.uniform(0.0, 1.5, size=(b, n))
     Y = params.y_hat * rng.uniform(0.0, 1.5, size=(b, n))
-    indeg = (rng.random((b, n)) < rng.uniform(0.3, 0.45, size=(b, 1))).astype(int)
-    players = rng.integers(0, n, size=b)
-    width = _structural_candidates(players, X, Y, indeg).shape[1]
+    indeg = (rng.random((b, n)) < rng.uniform(0.2, 0.3, size=(b, 1))).astype(int)
+    players, src = rng.integers(0, n, size=b), np.arange(b)
+    width = _structural_candidates(players, src, X, Y, indeg, params).shape[1]
+    assert width > 20
     assert 1 < _KERNEL_CHUNK // len(_subset_members(width - 1)[0]) < b
-    batch = _structural_responses(players, X, Y, indeg, params)
+    batch = _structural_responses(players, src, X, Y, indeg, params)
     for r in range(b):
-        one = _structural_responses(players[r : r + 1], X[r : r + 1], Y[r : r + 1],
-                                    indeg[r : r + 1], params)
+        one = _structural_responses(players[r : r + 1], np.zeros(1, dtype=int), X[r : r + 1],
+                                    Y[r : r + 1], indeg[r : r + 1], params)
         for got, alone in zip(batch, one):
             assert got[r].tobytes() == alone[0].tobytes()
 

@@ -2,6 +2,10 @@
 
 import json
 
+import numpy as np
+import pytest
+
+from netpublic import BenefitSpec, GameParams
 from netpublic.cli import main
 
 
@@ -215,6 +219,19 @@ def test_non_finite_link_fee_is_config_error(tmp_path):
     cfg = _base_config(k=float("inf"))
     cfg["output"]["path"] = str(tmp_path / "o.json")
     assert main(["--config", _write(tmp_path / "c.json", cfg)]) == 2
+
+
+def test_overflowing_isolation_demand_is_config_error(tmp_path):
+    # finite costs whose isolation demands overflow: under log x_hat = t / c
+    # stays finite but sums to inf (polarization came back as Infinity), under
+    # sqrt x_hat = t^2 / (4 c^2) is inf itself
+    for family, c in (("log", 1e-308), ("sqrt", 1e-160)):
+        with pytest.raises(ValueError, match="overflow"):
+            GameParams(np.array([0.0, 0.5, 1.0]), c, 0.4, BenefitSpec(family))
+        cfg = _base_config(benefit={"family": family}, c=c)
+        cfg["output"]["path"] = str(tmp_path / "o.json")
+        assert main(["--config", _write(tmp_path / "c.json", cfg)]) == 2
+        assert not (tmp_path / "o.json").exists()
 
 
 def test_non_finite_truncnormal_is_config_error(tmp_path):

@@ -1,6 +1,7 @@
 """Equilibrium construction, verification, classification, and the oracle."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -720,6 +721,48 @@ def test_lockstep_dynamics_matches_sequential(game):
             assert best_response_dynamics(start, params, config).x.tobytes() == w.x.tobytes()
     # the batch works on copies
     assert starts[0].g.sum() == 0 and np.array_equal(starts[0].x, params.x_hat)
+
+    # rows at an equilibrium of their mode next to isolated rows, modes mixed:
+    # the settled rows' windows end wherever the isolated rows' players move
+    settled = [want[m * 12] for m in range(len(modes))]
+    batch, configs = [], []
+    for m, mode in enumerate(modes):
+        other = modes[-1 - m]
+        if settled[m] is not None:
+            batch += [settled[m], StrategyProfile.isolated(params)]
+            configs += [DynamicsConfig(max_rounds=60, order="random_permutation", seed=5, mode=mode),
+                        DynamicsConfig(max_rounds=60, order="round_robin", mode=other)]
+    got = eq._dynamics(batch, params, configs)
+    want = [_dynamics_reference(start, params, config) for start, config in zip(batch, configs)]
+    assert [g is None for g in got] == [w is None for w in want]
+    for g, w in zip(got, want):
+        if w is not None:
+            assert g.g.tobytes() == w.g.tobytes()
+            assert g.x.tobytes() == w.x.tobytes() and g.y.tobytes() == w.y.tobytes()
+    for start, g in zip(batch[::2], got[::2]):
+        assert g.g.tobytes() == start.g.tobytes() and g.x.tobytes() == start.x.tobytes()
+
+
+@pytest.mark.parametrize("game", [7, 17])
+def test_settled_row_confirms_in_logarithmic_kernel_calls(monkeypatch, game):
+    # windows of width 1, 2, 4, ... cover a round without a move in
+    # ceil(log2(n + 1)) kernel calls, where a step per position takes n
+    params = _dynamics_games()[game]
+    mode = "exact" if params.n <= 12 else "structural"
+    config = DynamicsConfig(max_rounds=60, order="random_permutation", seed=2, mode=mode)
+    settled = best_response_dynamics(StrategyProfile.isolated(params), params, config)
+    calls = []
+    real = eq._responses
+
+    def counting(*args):
+        calls.append(len(args[1]))
+        return real(*args)
+
+    monkeypatch.setattr(eq, "_responses", counting)
+    out = best_response_dynamics(settled, params, config)
+    assert out.g.tobytes() == settled.g.tobytes()
+    assert len(calls) == math.ceil(math.log2(params.n + 1)) < params.n
+    assert sum(calls) == params.n
 
 
 @pytest.mark.parametrize("mode", ["exact", "structural"])

@@ -1,6 +1,7 @@
 """Property tests of the paper's invariants on the n <= 4 brute-force oracle,
 of the batched exact best response against full subset enumeration, and of
-the batched structural best response against the scalar search it replaced."""
+the batched structural best response against the scalar search it replaced
+and against the unpruned kernel it grew from."""
 
 import itertools
 import json
@@ -25,9 +26,12 @@ from netpublic import cli
 from netpublic.best_response import (
     _best_responses,
     _gross_utilities,
+    _link_gain,
     _link_rows,
     _structural_responses,
     _subset_matrix,
+    _subset_members,
+    _top_up,
 )
 from tests.conftest import FAMILIES
 
@@ -190,10 +194,10 @@ def _structural_reference(i, x, y, receivers, params):
 @given(structural_cases())
 def test_structural_kernel_matches_batch_of_one_and_scalar_search(case):
     params, players, X, Y, indeg = case
-    batch = _structural_responses(players, X, Y, indeg, params)
+    batch = _structural_responses(players, np.arange(len(players)), X, Y, indeg, params)
     for r, i in enumerate(players.tolist()):
-        one = _structural_responses(players[r : r + 1], X[r : r + 1], Y[r : r + 1],
-                                    indeg[r : r + 1], params)
+        one = _structural_responses(players[r : r + 1], np.zeros(1, dtype=int), X[r : r + 1],
+                                    Y[r : r + 1], indeg[r : r + 1], params)
         for got, alone in zip(batch, one):
             assert got[r].tobytes() == alone[0].tobytes()
         links, x, y, u = _structural_reference(i, X[r], Y[r], indeg[r] > 0, params)
@@ -201,3 +205,74 @@ def test_structural_kernel_matches_batch_of_one_and_scalar_search(case):
         assert batch[1][r] == pytest.approx(x, rel=1e-12, abs=1e-12)
         assert batch[2][r] == pytest.approx(y, rel=1e-12, abs=1e-12)
         assert batch[3][r] == pytest.approx(u, rel=1e-12)
+
+
+def _unpruned_candidates(players, X, Y, indeg):
+    """Structural candidates before pruning, one state row per kernel row:
+    receivers plus the top 4 providers, padded with n to the batch maximum."""
+    b, n = len(players), X.shape[1]
+    top = np.argsort(-(X + Y), axis=1, kind="stable")[:, :5]
+    keep = top != players[:, None]
+    keep &= np.cumsum(keep, axis=1) <= 4
+    cand = indeg > 0
+    cand[np.nonzero(keep)[0], top[keep]] = True
+    cand[np.arange(b), players] = False
+    count = cand.sum(axis=1)
+    table = np.full((b, count.max() + 1), n)
+    r, j = np.nonzero(cand)
+    table[r, np.arange(r.size) - np.repeat(np.cumsum(count) - count, count)] = j
+    return table
+
+
+def _unpruned_responses(players, X, Y, indeg, params):
+    """The structural kernel as it was before submodular pruning: every
+    subset of at most 3 unpruned candidates, padded slots providing 0."""
+    b, n = len(players), X.shape[1]
+    table = _unpruned_candidates(players, X, Y, indeg)
+    slots, sizes = _subset_members(table.shape[1] - 1)
+    cols = np.arange(b)[:, None], np.minimum(table, n - 1)
+    xs, ys = np.where(table < n, X[cols], 0.0), np.where(table < n, Y[cols], 0.0)
+    x_bar, y_bar = xs[:, slots[:, 0]], ys[:, slots[:, 0]]
+    for col in slots.T[1:]:
+        x_bar, y_bar = x_bar + xs[:, col], y_bar + ys[:, col]
+    gross, xi, yi = _top_up(players[:, None], x_bar, y_bar, params)
+    util = gross - params.k * sizes
+    pick = np.argmax(util >= util.max(axis=1)[:, None] - EPS_DEV, axis=1)
+    links = np.zeros((b, n + 1), dtype=np.int8)
+    links[np.arange(b)[:, None], np.take_along_axis(table, slots[pick], axis=1)] = 1
+    at = np.arange(b), pick
+    return links[:, :n], xi[at], yi[at], util[at]
+
+
+@st.composite
+def pruning_cases(draw):
+    """structural_cases with per-player costs in half the games, kernel rows
+    mapped onto 1 to 4 state rows, and k in half the games set to a
+    candidate's link gain, or that gain plus or minus EPS_DEV."""
+    params, _, X, Y, indeg = draw(structural_cases())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, rows = params.n, len(X)
+    if draw(st.booleans()):
+        params = params.with_costs(params.c * rng.uniform(0.3, 1.5, n))
+    b = draw(st.integers(1, 12))
+    players, src = rng.integers(0, n, b), rng.integers(0, rows, b)
+    edge = draw(st.sampled_from([None, -1, 0, 1]))
+    if edge is not None:
+        table = _unpruned_candidates(players, X[src], Y[src], indeg[src])
+        r, c = np.nonzero(table < n)
+        j = table[r, c]
+        gains = _link_gain(players[r], X[src[r], j], Y[src[r], j], params)
+        gains = gains[gains > 2 * EPS_DEV]
+        if gains.size:
+            params = params.with_k(float(gains[rng.integers(gains.size)]) + edge * EPS_DEV)
+    return params, players, src, X, Y, indeg
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(pruning_cases())
+def test_pruned_structural_kernel_matches_unpruned(case):
+    params, players, src, X, Y, indeg = case
+    got = _structural_responses(players, src, X, Y, indeg, params)
+    want = _unpruned_responses(players, X[src], Y[src], indeg[src], params)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
