@@ -34,6 +34,7 @@ from .equilibrium import (
     contribution_fixed_point,
     k_tilde,
     verify_nash,
+    welfare_max_equilibria,
     welfare_max_equilibrium,
 )
 from .extensions import (

@@ -51,10 +51,11 @@ class BenefitSpec:
         return cls(POWER, exponent)
 
     def value(self, z):
-        """f(z) for scalar or array z >= 0.  Log returns -inf at z = 0."""
+        """f(z) for scalar or array z >= 0.  Log returns -inf at z = 0, with
+        numpy's divide warning unless the caller suppresses it (the game's
+        callers do so once per array pass)."""
         if self.family == LOG:
-            with np.errstate(divide="ignore"):
-                return np.log(z)
+            return np.log(z)
         if self.family == SQRT:
             return np.sqrt(z)
         return np.power(z, self.exponent)

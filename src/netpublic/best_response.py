@@ -2,12 +2,13 @@
 
 Contributions given a fixed link set have a closed form (top up each good to
 its isolation demand), so a best response reduces to a search over link sets.
-Exact mode enumerates every subset of opponents; structural mode restricts
+Exact mode searches every subset of opponents; structural mode restricts
 the search to plausible targets (current link receivers plus the largest
-providers, less those whose standalone link gain cannot cover k), which is
-what equilibrium structure says sponsors actually use.
-Each mode has one search, an array kernel over a stack of rows: ``best_response``
-is its batch of one, and ``find_profitable_deviation`` one call per block of players.
+providers) and to at most three links, which is what equilibrium structure
+says sponsors actually use.  Both drop every target whose standalone link
+gain cannot cover k, which provably changes no answer.
+Both modes run one array kernel over a stack of rows: ``best_response`` is
+its batch of one, and ``find_profitable_deviation`` one call per block of players.
 """
 
 from __future__ import annotations
@@ -67,14 +68,6 @@ def _subset_matrix(m: int, cap: int | None) -> np.ndarray:
     mat = np.array(rows) if rows else np.zeros((1, 0))
     mat.setflags(write=False)
     return mat
-
-
-@lru_cache(maxsize=128)
-def _subset_sizes(m: int) -> np.ndarray:
-    """Link count of each row of _subset_matrix(m, None)."""
-    sizes = _subset_matrix(m, None).sum(axis=1)
-    sizes.setflags(write=False)
-    return sizes
 
 
 def optimal_contributions(
@@ -143,60 +136,82 @@ def _link_gain(i, x_prov, y_prov, params: GameParams):
 
     The gain has a closed form: the saved own provision (capped at what the
     provider supplies) plus the benefit jump on any good where the provider
-    out-supplies i.  Broadcasts over an index array ``i`` and array provisions.
+    out-supplies i.  Broadcasts over an index array ``i`` (parameter indices
+    of a _GameStack too) and array provisions.
     """
     t, xh, yh = params.types[i], params.x_hat[i], params.y_hat[i]
     f = params.benefit.value
-    # a zero-weight good counts 0, also where log's f(0) = -inf makes it NaN
-    with np.errstate(invalid="ignore"):
+    # log's f(0) = -inf is a valid value, and a zero-weight good counts 0,
+    # also where that makes the jump NaN
+    with np.errstate(divide="ignore", invalid="ignore"):
         jump_x = np.where(t > 0.0, t * np.maximum(f(x_prov) - f(xh), 0.0), 0.0)
         jump_y = np.where(t < 1.0, (1.0 - t) * np.maximum(f(y_prov) - f(yh), 0.0), 0.0)
     save = params.cost_vec[i] * (np.minimum(xh, x_prov) + np.minimum(yh, y_prov))
     return save + jump_x + jump_y
 
 
-def _structural_candidates(players, src, X, Y, indeg, params: GameParams) -> np.ndarray:
-    """Candidates of player players[r] against state row src[r], in index
-    order: the receivers (indeg > 0) and the largest providers by x + y
-    (ranked once per state row, ties to the lower index), without the player
-    and without every target whose ``_link_gain`` is at most k - EPS_DEV.
-    Rows are padded with n past the largest count, so every row ends in n."""
-    b, n = len(players), X.shape[1]
-    provision, top = X + Y, []
-    for _ in range(min(_STRUCTURAL_TOP_PROVIDERS + 1, n)):  # argmax: first among ties
-        top.append(np.argmax(provision, axis=1))
-        provision[np.arange(len(X)), top[-1]] = -np.inf
-    top = np.stack(top, axis=1)[src]
-    keep = top != players[:, None]
-    keep &= np.cumsum(keep, axis=1) <= _STRUCTURAL_TOP_PROVIDERS
-    cand = indeg[src] > 0
-    cand[np.nonzero(keep)[0], top[keep]] = True
+def _candidate_table(mode: str, who, src, X, Y, indeg, params: GameParams):
+    """Candidates of the player with parameter index who[r] against state
+    row src[r], in index order, and their count per row.
+
+    Exact mode offers every opponent; structural mode the receivers
+    (indeg > 0) and the largest providers by x + y (ranked once per state
+    row, ties to the lower index).  Either way the player and every target
+    whose ``_link_gain`` is at most k - EPS_DEV are dropped.  Rows are padded
+    with n past the largest count, so every row ends in n."""
+    b, n = len(who), X.shape[1]
+    players = who % n
+    if mode == STRUCTURAL:
+        provision, top = X + Y, []
+        for _ in range(min(_STRUCTURAL_TOP_PROVIDERS + 1, n)):  # argmax: first among ties
+            top.append(np.argmax(provision, axis=1))
+            provision[np.arange(len(X)), top[-1]] = -np.inf
+        top = np.stack(top, axis=1)[src]
+        keep = top != players[:, None]
+        keep &= np.cumsum(keep, axis=1) <= _STRUCTURAL_TOP_PROVIDERS
+        cand = indeg[src] > 0
+        cand[np.nonzero(keep)[0], top[keep]] = True
+    else:
+        cand = np.ones((b, n), dtype=bool)
     cand[np.arange(b), players] = False
     r, j = np.nonzero(cand)
-    pays = _link_gain(players[r], X[src[r], j], Y[src[r], j], params) > params.k - EPS_DEV
+    pays = _link_gain(who[r], X[src[r], j], Y[src[r], j], params) > params.k_vec[who[r]] - EPS_DEV
     r, j = r[pays], j[pays]
     count = np.bincount(r, minlength=b)
     table = np.full((b, count.max() + 1), n)
     table[r, np.arange(r.size) - np.repeat(np.cumsum(count) - count, count)] = j
-    return table
+    return table, count
 
 
 @lru_cache(maxsize=128)
-def _subset_members(m: int) -> tuple[np.ndarray, np.ndarray]:
+def _subset_members(m: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
     """Member slots (padded with slot m) and size of each subset of at most
-    _STRUCTURAL_MAX_LINKS of m slots, in the (size, lex) order of _subset_matrix."""
-    cap = _STRUCTURAL_MAX_LINKS
+    cap of m slots, in the (size, lex) order of _subset_matrix."""
     combos = [c for size in range(min(cap, m) + 1) for c in itertools.combinations(range(m), size)]
-    out = np.array([c + (m,) * (cap - len(c)) for c in combos]), np.array([len(c) for c in combos])
+    width = max(1, min(cap, m))
+    out = (np.array([c + (m,) * (width - len(c)) for c in combos]),
+           np.array([len(c) for c in combos]))
     for a in out:
         a.setflags(write=False)
     return out
 
 
-def _structural_responses(players, src, X, Y, indeg, params: GameParams):
-    """Structural best response of players[r] against state row src[r] of X,
-    Y and indeg: among subsets of at most _STRUCTURAL_MAX_LINKS candidates in
-    (size, lex) order, the first within EPS_DEV of the maximum.
+def _subset_count(mode: str, m):
+    """How many subsets the kernel enumerates for m candidates (m may be an
+    array): all of them in exact mode, those of at most 3 in structural."""
+    if mode == EXACT:
+        return 1 << m
+    pairs = m * (m - 1) // 2
+    return 1 + m + pairs + pairs * (m - 2) // 3
+
+
+def _responses(mode: str, who, src, X, Y, indeg, params: GameParams):
+    """Best responses of the player with parameter index who[r] (the player
+    itself for a GameParams) against state row src[r] of X, Y and indeg:
+    among the subsets of ``_candidate_table``'s candidates, at most
+    _STRUCTURAL_MAX_LINKS of them in structural mode and any number in exact
+    mode, in (size, lex) order, the first within EPS_DEV of the maximum.
+    Returns link rows, x, y and utility.
 
     Dropping a target j whose gain d_j = _link_gain(i, x_j, y_j) is at most
     k - EPS_DEV changes no answer.  i's gross value sums, over the goods, a
@@ -208,40 +223,46 @@ def _structural_responses(players, src, X, Y, indeg, params: GameParams):
     order and padded slots provide nothing, so each kept subset keeps its rank
     and, with spillovers added left to right, its utility bit for bit; a
     padded subset never beats the same subset without the pad, which comes
-    first.  Each row equals its batch of one bit for bit."""
-    b, n = len(players), X.shape[1]
-    table = _structural_candidates(players, src, X, Y, indeg, params)
-    slots, sizes = _subset_members(table.shape[1] - 1)
-    cols = src[:, None], np.minimum(table, n - 1)
-    xs = np.where(table < n, X[cols], 0.0)
-    ys = np.where(table < n, Y[cols], 0.0)
-    pick, out = np.empty(b, dtype=np.intp), np.empty((3, b))
-    step = max(1, _KERNEL_CHUNK // len(slots))
-    for lo in range(0, b, step):
-        part = slice(lo, lo + step)
-        x_bar, y_bar = xs[part, slots[:, 0]], ys[part, slots[:, 0]]
-        for col in slots.T[1:]:
-            x_bar, y_bar = x_bar + xs[part, col], y_bar + ys[part, col]
-        gross, xi, yi = _top_up(players[part, None], x_bar, y_bar, params)
-        util = gross - params.k * sizes
-        pick[part] = np.argmax(util >= util.max(axis=1)[:, None] - EPS_DEV, axis=1)
-        at = np.arange(len(util)), pick[part]
-        out[:, part] = xi[at], yi[at], util[at]
-    rows = np.arange(b)[:, None]
-    links = np.zeros((b, n + 1), dtype=np.int8)
-    links[rows, table[rows, slots[pick]]] = 1
-    return links[:, :n], *out
-
-
-def _responses(mode: str, players, src, X, Y, indeg, params: GameParams):
-    """Best responses of players[r] against state row src[r] of X, Y and
-    indeg through ``mode``'s kernel: link rows, x, y and utility."""
-    if mode == STRUCTURAL:
-        return _structural_responses(players, src, X, Y, indeg, params)
-    if mode != EXACT:
+    first.  A batch whose rows x subsets at its widest row exceed
+    _KERNEL_CHUNK is taken in order of candidate count, in passes within that
+    bound, each padded to its own widest row; so each row equals its batch of
+    one bit for bit.  Exact mode takes n <= 16.
+    """
+    b, n = len(who), X.shape[1]
+    if mode == EXACT and n > _EXACT_MAX_PLAYERS:
+        raise ValueError(f"exact mode supports at most {_EXACT_MAX_PLAYERS} players")
+    if mode not in (EXACT, STRUCTURAL):
         raise ValueError(f"unknown mode {mode!r}")
-    pick, x, y, u = _best_responses(players, X[src], Y[src], params)
-    return _link_rows(players, pick, X.shape[1]), x, y, u
+    table, count = _candidate_table(mode, who, src, X, Y, indeg, params)
+    passes = [slice(None)]
+    if b * _subset_count(mode, count.max()) > _KERNEL_CHUNK:
+        # rows in order of candidate count, each pass as many as fit at its widest
+        order, passes, lo = np.argsort(count, kind="stable"), [], 0
+        need = _subset_count(mode, count[order])
+        while lo < b:
+            hi = lo + max(1, int(np.sum(np.arange(1, b - lo + 1) * need[lo:] <= _KERNEL_CHUNK)))
+            passes.append(order[lo:hi])
+            lo = hi
+    links, out = np.empty((b, n), dtype=np.int8), np.empty((3, b))
+    for rows in passes:
+        m = count[rows].max()
+        slots, sizes = _subset_members(m, m if mode == EXACT else _STRUCTURAL_MAX_LINKS)
+        part = table[rows, : m + 1]
+        cols = src[rows, None], np.minimum(part, n - 1)
+        xs = np.where(part < n, X[cols], 0.0)
+        ys = np.where(part < n, Y[cols], 0.0)
+        x_bar, y_bar = xs[:, slots[:, 0]], ys[:, slots[:, 0]]
+        for col in slots.T[1:]:
+            x_bar, y_bar = x_bar + xs[:, col], y_bar + ys[:, col]
+        gross, xi, yi = _top_up(who[rows, None], x_bar, y_bar, params)
+        util = gross - params.k_vec[who[rows], None] * sizes
+        pick = np.argmax(util >= util.max(axis=1)[:, None] - EPS_DEV, axis=1)
+        at = np.arange(len(part)), pick
+        out[:, rows] = xi[at], yi[at], util[at]
+        chosen = np.zeros((len(part), n + 1), dtype=np.int8)
+        chosen[at[0][:, None], part[at[0][:, None], slots[pick]]] = 1
+        links[rows] = chosen[:, :n]
+    return links, *out
 
 
 def best_response(
@@ -258,68 +279,6 @@ def best_response(
     links, x, y, u = _responses(mode, np.array([i]), np.array([0]), *state, params)
     chosen = tuple(np.flatnonzero(links[0]).tolist())
     return BestResponse(chosen, float(x[0]), float(y[0]), float(u[0]))
-
-
-@lru_cache(maxsize=32)
-def _opponents(n: int) -> np.ndarray:
-    """Row i lists every player but i, in index order."""
-    table = np.array([[j for j in range(n) if j != i] for i in range(n)], dtype=np.intp)
-    table.setflags(write=False)
-    return table
-
-
-def _best_responses(
-    players, X: np.ndarray, Y: np.ndarray, params: GameParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Exact best response of player players[r] against contributions X[r], Y[r].
-
-    ``players`` is an index array, one player per row, or a single index for
-    every row.  Row r searches every subset of its n - 1 opponents, in the
-    (size, lex) order of _subset_matrix, and keeps the first within EPS_DEV
-    of the row's maximum.  Its subset sums are one 1 x (n-1) product per
-    row, so each row equals its batch of one bit for bit.  Links do not
-    enter: a best response depends only on the others' contributions.
-
-    Returns per row the index of the chosen subset in _subset_matrix(n - 1,
-    None) (``_link_rows`` turns it into a link row), and the x, y and
-    utility of the best response.
-    """
-    b, n = X.shape
-    if n > _EXACT_MAX_PLAYERS:
-        raise ValueError(f"exact mode supports at most {_EXACT_MAX_PLAYERS} players")
-    subsets = _subset_matrix(n - 1, None)
-    per_row = isinstance(players, np.ndarray)
-    step = max(1, _KERNEL_CHUNK // len(subsets))
-    if b > step:
-        parts = [
-            _best_responses(players[lo : lo + step] if per_row else players,
-                            X[lo : lo + step], Y[lo : lo + step], params)
-            for lo in range(0, b, step)
-        ]
-        return tuple(np.concatenate(column) for column in zip(*parts))
-    cand = _opponents(n)[players]
-    rows = np.arange(b)[:, None] if per_row else slice(None)
-    # stacked 1-row products sum like best_response's matrix-vector product;
-    # a plain 2-D product would be a BLAS gemm, which sums in another order
-    # and whose work buffer adds about 0.4 MB resident
-    gross, xi, yi = _top_up(
-        players[:, None] if per_row else players,
-        (X[rows, cand][:, None] @ subsets.T)[:, 0],
-        (Y[rows, cand][:, None] @ subsets.T)[:, 0],
-        params,
-    )
-    util = gross - params.k * _subset_sizes(n - 1)
-    best = util.max(axis=1)
-    pick = np.argmax(util >= best[:, None] - EPS_DEV, axis=1)
-    at = np.arange(b)
-    return pick, xi[at, pick], yi[at, pick], util[at, pick]
-
-
-def _link_rows(players: np.ndarray, pick: np.ndarray, n: int) -> np.ndarray:
-    """Link row (b, n) of subset pick[r] of players[r]'s opponents."""
-    links = np.zeros((len(pick), n), dtype=np.int8)
-    links[np.arange(len(pick))[:, None], _opponents(n)[players]] = _subset_matrix(n - 1, None)[pick]
-    return links
 
 
 def find_profitable_deviation(

@@ -363,8 +363,9 @@ def utility_perturbed(
     spec = params.benefit
     agg_x = _ces_aggregate(float(profile.x[i]), [profile.x[s] for s in shells], pert)
     agg_y = _ces_aggregate(float(profile.y[i]), [profile.y[s] for s in shells], pert)
-    bx = t * float(spec.value(agg_x)) if t > 0.0 else 0.0
-    by = (1.0 - t) * float(spec.value(agg_y)) if t < 1.0 else 0.0
+    with np.errstate(divide="ignore"):  # log(0) = -inf marks a dominated strategy
+        bx = t * float(spec.value(agg_x)) if t > 0.0 else 0.0
+        by = (1.0 - t) * float(spec.value(agg_y)) if t < 1.0 else 0.0
     cost = params.cost_vec[i] + pert.cost_shift(params.n)[i]
     fee = params.k + pert.link_shift(params.n)[i]
     eta = int(profile.g[i].sum())
@@ -456,8 +457,9 @@ def _perturbed_best_utility(
             yi = _solve_good(1.0 - t, cost, sy, pert, spec, params.y_hat[i])
             agg_x = _ces_aggregate(xi, sx, pert)
             agg_y = _ces_aggregate(yi, sy, pert)
-            bx = t * float(spec.value(agg_x)) if t > 0.0 else 0.0
-            by = (1.0 - t) * float(spec.value(agg_y)) if t < 1.0 else 0.0
+            with np.errstate(divide="ignore"):
+                bx = t * float(spec.value(agg_x)) if t > 0.0 else 0.0
+                by = (1.0 - t) * float(spec.value(agg_y)) if t < 1.0 else 0.0
             u = bx + by - cost * (xi + yi) - fee * r
             best = max(best, u)
     return best

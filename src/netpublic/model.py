@@ -11,13 +11,14 @@ is applied throughout so that corner players specialize cleanly.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .benefits import BenefitSpec
+from .benefits import LOG, BenefitSpec
 
 # Absolute tolerance for "equals isolation demand" style checks.
 EPS_NUM = 1e-9
@@ -197,6 +198,11 @@ class GameParams:
         return np.full(self.n, float(self.c))
 
     @cached_property
+    def k_vec(self) -> np.ndarray:
+        """The linking fee once per player, indexed as ``cost_vec`` is."""
+        return np.full(self.n, float(self.k))
+
+    @cached_property
     def x_hat(self) -> np.ndarray:
         t = self.types
         out = np.zeros(self.n)
@@ -217,6 +223,29 @@ class GameParams:
 
     def with_costs(self, costs: np.ndarray) -> "GameParams":
         return GameParams(self.types, self.c, self.k, self.benefit, costs)
+
+
+@dataclass(frozen=True)
+class _GameStack:
+    """Games on the same n players with the same benefit family, read by the
+    array kernels as one game: player i of game g has parameter index
+    g * n + i, so ``index % n`` is the player, and one GameParams is a stack
+    of one.  Each per-player array concatenates the games' arrays."""
+
+    n: int
+    benefit: BenefitSpec
+    types: np.ndarray
+    x_hat: np.ndarray
+    y_hat: np.ndarray
+    cost_vec: np.ndarray
+    k_vec: np.ndarray
+
+    @classmethod
+    def of(cls, games: list[GameParams]) -> "_GameStack":
+        """The stack of games that share n and the benefit family."""
+        fields = ("types", "x_hat", "y_hat", "cost_vec", "k_vec")
+        return cls(games[0].n, games[0].benefit,
+                   *(np.concatenate([getattr(g, f) for g in games]) for f in fields))
 
 
 @dataclass
@@ -288,17 +317,26 @@ def spillovers(profile: StrategyProfile, i: int) -> tuple[float, float]:
     return float(row @ profile.x), float(row @ profile.y)
 
 
+def _log_zero_guard(benefit: BenefitSpec):
+    """Where log's f(0) = -inf is a valid value, suppress numpy's divide
+    warning; the other families never divide by zero, so they skip the
+    errstate entry (a few microseconds a call)."""
+    return np.errstate(divide="ignore") if benefit.family == LOG else nullcontext()
+
+
 def gross_value(params: GameParams, i, xi, yi, x_bar, y_bar):
     """Player i's benefits from consuming (xi + x_bar, yi + y_bar), net of the
     cost of the own contributions (xi, yi) and before link fees.
 
     Broadcasts over array arguments; ``i`` may be an index array, one player
-    per element, with the scalar arithmetic applied elementwise.  A good with
-    zero taste weight counts 0 even where the log family would give -inf.
+    per element, with the scalar arithmetic applied elementwise, and
+    ``params`` a _GameStack that ``i`` indexes by parameter index.  A good
+    with zero taste weight counts 0 even where the log family would give -inf.
     """
     t = params.types[i]
-    vx = params.benefit.value(xi + x_bar)
-    vy = params.benefit.value(yi + y_bar)
+    with _log_zero_guard(params.benefit):
+        vx = params.benefit.value(xi + x_bar)
+        vy = params.benefit.value(yi + y_bar)
     bx = np.zeros(np.broadcast(t, vx).shape)
     by = np.zeros(np.broadcast(t, vy).shape)
     np.multiply(t, vx, out=bx, where=t > 0.0)
@@ -324,12 +362,15 @@ def utilities(
 
     Row r is one profile's contributions X[r], Y[r] (length n) and that
     player's link row links[r]; ``players`` may also be a single index for
-    every row.  Spillovers are one 1 x n product per row, the summation
-    ``spillovers`` uses, so each entry equals ``utility`` bit for bit.
+    every row.  With a _GameStack for ``params`` the players are parameter
+    indices, so each row reads its own game.  Spillovers are one 1 x n
+    product per row, the summation ``spillovers`` uses, so each entry equals
+    ``utility`` bit for bit.
     """
     rows = np.arange(len(X))
     L = np.asarray(links, dtype=float)[:, None, :]
     x_bar = (L @ X[:, :, None])[:, 0, 0]
     y_bar = (L @ Y[:, :, None])[:, 0, 0]
-    own_x, own_y = X[rows, players], Y[rows, players]
-    return gross_value(params, players, own_x, own_y, x_bar, y_bar) - L.sum(axis=(1, 2)) * params.k
+    own = players % params.n
+    gross = gross_value(params, players, X[rows, own], Y[rows, own], x_bar, y_bar)
+    return gross - L.sum(axis=(1, 2)) * params.k_vec[players]

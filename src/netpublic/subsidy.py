@@ -3,21 +3,23 @@
 A subsidy lowers one player's contribution cost, which raises their autarky
 demand and can redirect who links to whom.  The planner grid-searches
 single-recipient plans (and split plans across the current two contributors),
-re-solves the welfare-maximal equilibrium under each cost vector, discards
-plans that overrun the budget at the realized contributions, and keeps the
-welfare argmax.  Grid search is deliberate: the objective jumps when the
-equilibrium network switches, so smooth methods have nothing to grip.
+re-solves the welfare-maximal equilibrium under each cost vector (all of them
+as one family of games), discards plans that overrun the budget at the
+realized contributions, and keeps the welfare argmax.  Grid search is
+deliberate: the objective jumps when the equilibrium network switches, so
+smooth methods have nothing to grip.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .benefits import BenefitSpec
-from .equilibrium import welfare_max_equilibrium
+from .equilibrium import welfare_max_equilibria, welfare_max_equilibrium
 from .metrics import welfare
 from .model import GameParams, IsolationDemand, StrategyProfile, isolation_demand
 
@@ -139,14 +141,20 @@ def planner(
         plan = SubsidyPlan(np.zeros(params.n), 0.0, 0.0)
         return plan, base_prof, EXISTING_CONTRIBUTORS
 
+    pending = deque()  # (plan, game) pairs handed to the solver, answers not yet read
+
+    def trials():
+        for v in _plan_vectors(params, base_report, target_grid, level_grid, budget):
+            try:
+                trial = params.with_costs(params.cost_vec - v)
+            except ValueError:
+                continue
+            pending.append((v, trial))
+            yield trial
+
     best = None  # (welfare, spent, plan, profile)
-    for v in _plan_vectors(params, base_report, target_grid, level_grid, budget):
-        costs = params.cost_vec - v
-        try:
-            trial = params.with_costs(costs)
-        except ValueError:
-            continue
-        prof, _ = welfare_max_equilibrium(trial, mode)
+    for prof, _ in welfare_max_equilibria(trials(), mode):
+        v, trial = pending.popleft()
         spent = budget_spent(v, prof)
         if spent > budget + _BUDGET_SLACK:
             continue

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import EMPTY, construct_independent, welfare_max_equilibrium
+from .equilibrium import EMPTY, construct_independent, welfare_max_equilibria
 from .metrics import contributor_count, metrics_record
 from .model import GameParams, StrategyProfile, draw_interior_types
 from .benefits import BenefitSpec
@@ -61,15 +61,16 @@ def sweep_k(
     mode: str = "structural",
     return_profiles: bool = False,
 ):
-    """Welfare-maximal equilibrium at each linking cost on a fixed society."""
+    """Welfare-maximal equilibrium at each linking cost on a fixed society,
+    every k solved in one batch."""
     k_grid = [float(k) for k in k_grid]
     if any(k <= 0 for k in k_grid) or any(b <= a for a, b in zip(k_grid, k_grid[1:])):
         raise ValueError("k_grid must be strictly increasing and positive")
     records: list[SweepRecord] = []
     profiles: list[StrategyProfile] = []
-    for k in k_grid:
-        prof, report = welfare_max_equilibrium(params.with_k(k), mode)
-        records.append(_record_for(k, prof, report, params.with_k(k)))
+    games = [params.with_k(k) for k in k_grid]
+    for k, game, (prof, report) in zip(k_grid, games, welfare_max_equilibria(games, mode)):
+        records.append(_record_for(k, prof, report, game))
         profiles.append(prof)
     if return_profiles:
         return records, profiles

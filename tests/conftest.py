@@ -23,3 +23,25 @@ def random_scenario(rng, n: int, k_span=(0.02, 1.2)) -> GameParams:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def unpruned_exact_responses(players, X, Y, params):
+    """The exact best-response kernel before the pruned candidate table:
+    every subset of a row's n - 1 opponents in (size, lex) order, subset
+    sums as one stacked 1 x (n - 1) product per row, the first subset within
+    EPS_DEV of the maximum.  Returns link rows, x, y and utility."""
+    from netpublic.best_response import _subset_matrix, _top_up
+    from netpublic.model import EPS_DEV
+
+    b, n = X.shape
+    subsets = _subset_matrix(n - 1, None)
+    cand = np.array([[j for j in range(n) if j != i] for i in players])
+    rows = np.arange(b)[:, None]
+    gross, xi, yi = _top_up(players[:, None], (X[rows, cand][:, None] @ subsets.T)[:, 0],
+                            (Y[rows, cand][:, None] @ subsets.T)[:, 0], params)
+    util = gross - params.k * subsets.sum(axis=1)
+    pick = np.argmax(util >= util.max(axis=1)[:, None] - EPS_DEV, axis=1)
+    links = np.zeros((b, n), dtype=np.int8)
+    links[rows, cand] = subsets[pick]
+    at = np.arange(b), pick
+    return links, xi[at], yi[at], util[at]

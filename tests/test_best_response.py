@@ -25,14 +25,12 @@ from netpublic import (
 )
 from netpublic.best_response import (
     _KERNEL_CHUNK,
-    _best_responses,
+    _candidate_table,
     _link_gain,
-    _link_rows,
-    _structural_candidates,
-    _structural_responses,
+    _responses,
     _subset_members,
 )
-from tests.conftest import random_scenario
+from tests.conftest import random_scenario, unpruned_exact_responses
 
 # the module; the package attribute of this name is the function
 br_module = importlib.import_module("netpublic.best_response")
@@ -217,8 +215,8 @@ def test_structural_candidates_match_reference(rng):
         X, Y = np.array([p.x for p in profiles]), np.array([p.y for p in profiles])
         indeg = np.array([p.in_degree() for p in profiles])
         players, src = np.tile(np.arange(n), 2), np.repeat([0, 1], n)
-        table = _structural_candidates(players, src, X, Y, indeg, params)
-        count = (table < n).sum(axis=1)
+        table, count = _candidate_table("structural", players, src, X, Y, indeg, params)
+        assert np.array_equal(count, (table < n).sum(axis=1))
         assert table.dtype.kind == "i" and table.shape == (2 * n, count.max() + 1)
         for r, (i, s) in enumerate(zip(players.tolist(), src.tolist())):
             prof = profiles[s]
@@ -240,23 +238,36 @@ def test_exact_mode_rejects_large_games():
 
 
 def test_batched_best_response_chunks_match_single_rows(rng):
-    # more rows than one pass of the kernel holds, at n = 13 and at n = 16
+    # at k = 1e-3 every opponent who provides anything is a candidate: at
+    # n = 13 a pass holds about two rows and at n = 16 one row, so the rows
+    # take many passes, and rows with a share of idle opponents have fewer
+    # candidates, so passes differ in width
     for n, b in ((13, 20), (16, 3)):
-        assert b > _KERNEL_CHUNK // 2 ** (n - 1)
-        params = random_scenario(rng, n)
-        X = params.x_hat * rng.uniform(0.0, 1.5, size=(b, n)) * (rng.uniform(size=(b, n)) < 0.6)
-        Y = params.y_hat * rng.uniform(0.0, 1.5, size=(b, n)) * (rng.uniform(size=(b, n)) < 0.6)
+        params = random_scenario(rng, n).with_k(1e-3)
+        active = rng.uniform(size=(b, n)) < rng.choice([0.6, 1.0], size=(b, 1))
+        X = params.x_hat * rng.uniform(0.1, 1.5, size=(b, n)) * active
+        Y = params.y_hat * rng.uniform(0.1, 1.5, size=(b, n)) * active
         players = rng.integers(0, n, size=b)
-        pick, x, y, util = _best_responses(players, X, Y, params)
-        links = _link_rows(players, pick, n)
+        src, indeg = np.arange(b), np.zeros((b, n), dtype=int)
+        count = _candidate_table("exact", players, src, X, Y, indeg, params)[1]
+        assert count.max() >= n - 2 and len(set(count.tolist())) > 1
+        assert b > _KERNEL_CHUNK // 2 ** count.max()
+        links, x, y, util = _responses("exact", players, src, X, Y, indeg, params)
+        want = unpruned_exact_responses(players, X, Y, params)
         for r in range(b):
             prof = StrategyProfile(X[r], Y[r], np.zeros((n, n)))
             br = best_response(int(players[r]), prof, params, "exact")
             assert tuple(np.flatnonzero(links[r]).tolist()) == br.links
             assert (x[r], y[r], util[r]) == (br.x, br.y, br.utility)
+        # the kernel before pruning summed subsets as a product, so only
+        # the last bit of a utility may differ
+        assert np.array_equal(links, want[0])
+        assert np.array_equal(x, want[1]) and np.array_equal(y, want[2])
+        assert util == pytest.approx(want[3], rel=1e-12)
     params = random_scenario(rng, 17)
     with pytest.raises(ValueError):
-        _best_responses(np.array([0]), params.x_hat[None], params.y_hat[None], params)
+        _responses("exact", np.array([0]), np.array([0]), params.x_hat[None],
+                   params.y_hat[None], np.zeros((1, 17), dtype=int), params)
 
 
 def test_structural_kernel_chunks_match_single_rows(rng):
@@ -269,13 +280,13 @@ def test_structural_kernel_chunks_match_single_rows(rng):
     Y = params.y_hat * rng.uniform(0.0, 1.5, size=(b, n))
     indeg = (rng.random((b, n)) < rng.uniform(0.2, 0.3, size=(b, 1))).astype(int)
     players, src = rng.integers(0, n, size=b), np.arange(b)
-    width = _structural_candidates(players, src, X, Y, indeg, params).shape[1]
+    width = _candidate_table("structural", players, src, X, Y, indeg, params)[0].shape[1]
     assert width > 20
-    assert 1 < _KERNEL_CHUNK // len(_subset_members(width - 1)[0]) < b
-    batch = _structural_responses(players, src, X, Y, indeg, params)
+    assert 1 < _KERNEL_CHUNK // len(_subset_members(width - 1, 3)[0]) < b
+    batch = _responses("structural", players, src, X, Y, indeg, params)
     for r in range(b):
-        one = _structural_responses(players[r : r + 1], np.zeros(1, dtype=int), X[r : r + 1],
-                                    Y[r : r + 1], indeg[r : r + 1], params)
+        one = _responses("structural", players[r : r + 1], np.zeros(1, dtype=int), X[r : r + 1],
+                         Y[r : r + 1], indeg[r : r + 1], params)
         for got, alone in zip(batch, one):
             assert got[r].tobytes() == alone[0].tobytes()
 
@@ -303,11 +314,12 @@ def test_best_response_tie_band_prefers_fewer_links():
         params = base.with_k(lo)
         assert abs(margin(lo) - target) < 0.1 * EPS_DEV
         br = best_response(1, prof, params, "exact")
-        pick, x, y, util = _best_responses(np.array([1]), prof.x[None], prof.y[None], params)
-        links = _link_rows(np.array([1]), pick, 3)
+        links, x, y, util = unpruned_exact_responses(np.array([1]), prof.x[None], prof.y[None],
+                                                     params)
         assert (br.links == ()) is want_empty
         assert tuple(np.flatnonzero(links[0]).tolist()) == br.links
-        assert (x[0], y[0], util[0]) == (br.x, br.y, br.utility)
+        assert (x[0], y[0]) == (br.x, br.y)
+        assert util[0] == pytest.approx(br.utility, rel=1e-12)
 
 
 def test_no_deviation_from_constructed_equilibrium(rng):

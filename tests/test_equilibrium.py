@@ -31,6 +31,7 @@ from netpublic import (
     sample_types,
     verify_nash,
     utility,
+    welfare_max_equilibria,
     welfare_max_equilibrium,
 )
 from netpublic import equilibrium as eq
@@ -152,10 +153,11 @@ def _gl_to_provider_reference(p, x_prov, y_prov, params):
     xh = params.x_hat[p]
     yh = params.y_hat[p]
     gain = params.cost_vec[p] * (min(xh, x_prov) + min(yh, y_prov))
-    if t > 0.0 and x_prov > xh:
-        gain += t * float(spec.value(x_prov) - spec.value(xh))
-    if t < 1.0 and y_prov > yh:
-        gain += (1.0 - t) * float(spec.value(y_prov) - spec.value(yh))
+    with np.errstate(divide="ignore"):  # log(0) = -inf, as the program reads it
+        if t > 0.0 and x_prov > xh:
+            gain += t * float(spec.value(x_prov) - spec.value(xh))
+        if t < 1.0 and y_prov > yh:
+            gain += (1.0 - t) * float(spec.value(y_prov) - spec.value(yh))
     return gain
 
 
@@ -164,8 +166,9 @@ def _gl_matrix_reference(params):
     xh, yh = params.x_hat, params.y_hat
     t = params.types
     spec = params.benefit
-    fx = spec.value(xh)
-    fy = spec.value(yh)
+    with np.errstate(divide="ignore"):
+        fx = spec.value(xh)
+        fy = spec.value(yh)
     ci = params.cost_vec[:, None]
     save = ci * (np.minimum.outer(xh, xh) + np.minimum.outer(yh, yh))
     with np.errstate(invalid="ignore"):
@@ -189,6 +192,25 @@ def _anchored_start_reference(params, quantile):
         if p != anchor and _gl_to_provider_reference(p, xa, ya, params) >= params.k:
             prof.set_strategy(p, [anchor], *optimal_contributions(p, [anchor], prof, params))
     return prof
+
+
+def _anchored_start_per_anchor(params, quantile):
+    """One anchor's array pass, as the starts were built before all seven
+    came from one pass."""
+    prof = StrategyProfile.isolated(params)
+    anchor = int(np.argmin(np.abs(params.types - quantile)))
+    others = np.flatnonzero(np.arange(params.n) != anchor)
+    gains = eq._link_gain(others, params.x_hat[anchor], params.y_hat[anchor], params)
+    join = others[gains >= params.k]
+    prof.g[join, anchor] = 1
+    eq._top_up_links(prof, join, params)
+    return prof
+
+
+def _anchored_profiles(params):
+    """The seven anchored starts as profiles, quantiles 1/8 .. 7/8."""
+    X, Y, G = eq._anchored_starts(params)
+    return [StrategyProfile(x, y, g) for x, y, g in zip(X, Y, G)]
 
 
 def _greedy_independent_reference(params):
@@ -315,14 +337,17 @@ def test_template_pay_check_matches_scalar_reference():
 def test_array_constructors_match_reference_loops():
     for params in _gain_games():
         pairs = [(eq._greedy_independent(params), _greedy_independent_reference(params))]
-        pairs += [
-            (eq._anchored_start(params, s / 8), _anchored_start_reference(params, s / 8))
-            for s in range(1, 8)
-        ]
+        anchored = _anchored_profiles(params)
+        pairs += [(anchored[s - 1], _anchored_start_reference(params, s / 8)) for s in range(1, 8)]
         for got, want in pairs:
             assert np.array_equal(got.g, want.g)
             assert np.array_equal(got.x, want.x)
             assert np.array_equal(got.y, want.y)
+        # all seven starts in one pass, byte for byte as one pass per anchor
+        for s, got in enumerate(anchored, start=1):
+            want = _anchored_start_per_anchor(params, s / 8)
+            assert got.g.tobytes() == want.g.tobytes()
+            assert got.x.tobytes() == want.x.tobytes() and got.y.tobytes() == want.y.tobytes()
 
 
 def test_empty_profile_is_nash_above_threshold():
@@ -675,17 +700,36 @@ def _dense_start(params):
     return StrategyProfile(params.x_hat.copy(), params.y_hat.copy(), g)
 
 
+def _run_dynamics(starts, games, configs):
+    """_dynamics on stacked copies of the starts: each row's profile where it
+    settled, None where it ran out of rounds."""
+    X = np.array([s.x for s in starts])
+    Y = np.array([s.y for s in starts])
+    G = np.array([s.g for s in starts])
+    settled = eq._dynamics(X, Y, G, games, configs)
+    return [StrategyProfile(x, y, g) if ok else None for x, y, g, ok in zip(X, Y, G, settled)]
+
+
+def _assert_same_runs(got, want):
+    assert [g is None for g in got] == [w is None for w in want]
+    for g, w in zip(got, want):
+        if w is not None:
+            assert g.g.tobytes() == w.g.tobytes()
+            assert g.x.tobytes() == w.x.tobytes() and g.y.tobytes() == w.y.tobytes()
+
+
 @pytest.mark.parametrize("game", range(18))
 def test_lockstep_dynamics_matches_sequential(game):
     params = _dynamics_games()[game]
     # up to n = 12 structural rows run in the same batch as exact rows, from
     # starts whose receiver counts range from none to most players
     modes = ("exact", "structural") if params.n <= 12 else ("structural",)
+    anchored = _anchored_profiles(params)
     starts = [
         StrategyProfile.isolated(params),
-        eq._anchored_start(params, 0.25),
-        eq._anchored_start(params, 0.5),
-        eq._anchored_start(params, 0.75),
+        anchored[1],  # quantile 0.25
+        anchored[3],
+        anchored[5],
         eq._greedy_independent(params),
         _dense_start(params),
     ]
@@ -704,15 +748,11 @@ def test_lockstep_dynamics_matches_sequential(game):
             batch.append(starts[s])
             configs.append(DynamicsConfig(max_rounds=1, order="random_permutation", seed=s,
                                           mode=mode))
-    got = eq._dynamics(batch, params, configs)
+    got = _run_dynamics(batch, [params] * len(batch), configs)
     want = [_dynamics_reference(start, params, config) for start, config in zip(batch, configs)]
-    assert [g is None for g in got] == [w is None for w in want]
+    _assert_same_runs(got, want)
     # below the threshold someone links from the empty network
     assert all(want[r] is None for r in empty_one_round)
-    for g, w in zip(got, want):
-        if w is not None:
-            assert g.g.tobytes() == w.g.tobytes()
-            assert g.x.tobytes() == w.x.tobytes() and g.y.tobytes() == w.y.tobytes()
     for start, config, w in zip(batch, configs, want):
         if w is None:
             with pytest.raises(NonConvergenceError):
@@ -732,15 +772,35 @@ def test_lockstep_dynamics_matches_sequential(game):
             batch += [settled[m], StrategyProfile.isolated(params)]
             configs += [DynamicsConfig(max_rounds=60, order="random_permutation", seed=5, mode=mode),
                         DynamicsConfig(max_rounds=60, order="round_robin", mode=other)]
-    got = eq._dynamics(batch, params, configs)
+    got = _run_dynamics(batch, [params] * len(batch), configs)
     want = [_dynamics_reference(start, params, config) for start, config in zip(batch, configs)]
-    assert [g is None for g in got] == [w is None for w in want]
-    for g, w in zip(got, want):
-        if w is not None:
-            assert g.g.tobytes() == w.g.tobytes()
-            assert g.x.tobytes() == w.x.tobytes() and g.y.tobytes() == w.y.tobytes()
+    _assert_same_runs(got, want)
     for start, g in zip(batch[::2], got[::2]):
         assert g.g.tobytes() == start.g.tobytes() and g.x.tobytes() == start.x.tobytes()
+
+    # rows of two games in one batch, with the same seeds: a second game on
+    # the same society with other per-player costs and another k; each row
+    # reads its own game, and rows of one seed share one permutation stream
+    rng = np.random.default_rng(params.n)
+    other = params.with_costs(params.cost_vec * rng.uniform(0.7, 1.3, params.n))
+    other = other.with_k(0.8 * params.k)
+    batch, games, configs = [], [], []
+    for game_params in (params, other):
+        for mode in modes:
+            for start in (StrategyProfile.isolated(game_params), _dense_start(game_params)):
+                for seed in (0, 1):
+                    batch.append(start)
+                    games.append(game_params)
+                    configs.append(DynamicsConfig(max_rounds=60, order="random_permutation",
+                                                  seed=seed, mode=mode))
+    got = _run_dynamics(batch, games, configs)
+    want = [_dynamics_reference(start, game_params, config)
+            for start, game_params, config in zip(batch, games, configs)]
+    _assert_same_runs(got, want)
+    # the two games part ways somewhere, so reading the wrong game would show
+    half = len(batch) // 2
+    assert any(a is None or b is None or a.x.tobytes() != b.x.tobytes()
+               for a, b in zip(want[:half], want[half:]))
 
 
 @pytest.mark.parametrize("game", [7, 17])
@@ -775,17 +835,26 @@ def test_independent_repair_joins_the_dynamics_batch(monkeypatch, mode):
     calls = []
     real = eq._dynamics
 
-    def counting(starts, params, configs):
+    def counting(X, Y, G, games, configs):
         calls.append([(c.order, c.mode) for c in configs])
-        return real(starts, params, configs)
+        return real(X, Y, G, games, configs)
 
     monkeypatch.setattr(eq, "_dynamics", counting)
-    candidates = eq._candidates(params, mode)
+    candidates = next(eq._candidates([params], mode))
     starts = [("random_permutation", mode)] * eq._DYNAMICS_STARTS
     assert calls == [starts + [("round_robin", "exact")]]
     monkeypatch.undo()
     assert candidates[1][0].g.tobytes() == construct_independent(params).g.tobytes()
     assert candidates[1][0].x.tobytes() == construct_independent(params).x.tobytes()
+
+
+def test_game_batch_rejects_mixed_sizes_and_families():
+    log5 = GameParams(np.linspace(0.0, 1.0, 5), 1.0, 0.3, BenefitSpec.log())
+    for other in (GameParams(np.linspace(0.0, 1.0, 6), 1.0, 0.3, BenefitSpec.log()),
+                  GameParams(np.linspace(0.0, 1.0, 5), 1.0, 0.3, BenefitSpec.sqrt())):
+        with pytest.raises(ValueError, match="share n and the benefit family"):
+            list(welfare_max_equilibria([log5, other], "exact"))
+    assert list(welfare_max_equilibria([], "exact")) == []
 
 
 def test_welfare_max_above_threshold_returns_empty():
@@ -1013,11 +1082,12 @@ def _eager_welfare_max(params, mode):
                 prof = construct(params, a, b, mode)
                 if prof is not None:
                     candidates.append(prof)
+    anchored = _anchored_profiles(params)
     for s in range(eq._DYNAMICS_STARTS):
         if s == 0:
             start = StrategyProfile.isolated(params)
         else:
-            start = eq._anchored_start(params, s / eq._DYNAMICS_STARTS)
+            start = anchored[s - 1]
         config = DynamicsConfig(max_rounds=60, order="random_permutation", seed=s, mode=mode)
         try:
             candidates.append(best_response_dynamics(start, params, config))
@@ -1074,7 +1144,7 @@ def _scripted(monkeypatch, tagged, scripted):
         _, label, contributors = lookup(prof)
         return EquilibriumReport(label, contributors, (), ())
 
-    monkeypatch.setattr(eq, "_candidates", lambda params, mode: list(tagged))
+    monkeypatch.setattr(eq, "_candidates", lambda games, mode: [list(tagged)])
     monkeypatch.setattr(eq, "verify_nash", fake_verify)
     monkeypatch.setattr(eq, "welfare", lambda prof, params: (lookup(prof)[0], 0.0))
     params = _params([0.0, 0.5, 1.0])

@@ -1,6 +1,7 @@
 """Core primitives: benefit families, isolation demands, utility, sampling."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,12 +13,16 @@ from netpublic import (
     StrategyProfile,
     TruncNormal,
     UNIFORM,
+    best_response,
+    find_profitable_deviation,
     isolation_demand,
+    k_tilde,
     sample_types,
     spillovers,
     utility,
+    welfare,
 )
-from netpublic.model import normal_quantile, validate_types
+from netpublic.model import gross_value, normal_quantile, validate_types
 from tests.conftest import FAMILIES
 
 
@@ -64,7 +69,24 @@ def test_deriv_inv_is_inverse(spec):
 
 
 def test_log_value_at_zero_is_neg_inf():
-    assert BenefitSpec.log().value(0.0) == -math.inf
+    with np.errstate(divide="ignore"):
+        assert BenefitSpec.log().value(0.0) == -math.inf
+
+
+def test_log_zero_consumption_raises_no_runtime_warning():
+    # log(0) = -inf is a valid value in the game: every array pass that can
+    # reach it enters numpy's errstate once, so no RuntimeWarning escapes
+    params = GameParams(np.array([0.0, 0.3, 0.7, 1.0]), 1.0, 0.3, BenefitSpec.log())
+    zero = StrategyProfile(np.zeros(4), np.zeros(4), np.zeros((4, 4)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert utility(zero, 1, params) == -math.inf
+        assert welfare(zero, params)[0] == -math.inf
+        assert gross_value(params, np.arange(4), 0.0, 0.0, 0.0, 0.0)[1] == -math.inf
+        assert np.isfinite(k_tilde(params))  # types 0 and 1 have a zero autarky good
+        for mode in ("exact", "structural"):
+            assert best_response(1, zero, params, mode).utility > -math.inf
+            assert find_profitable_deviation(zero, params, mode).player == 0
 
 
 def test_bad_specs_rejected():

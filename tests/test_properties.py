@@ -1,7 +1,8 @@
 """Property tests of the paper's invariants on the n <= 4 brute-force oracle,
-of the batched exact best response against full subset enumeration, and of
-the batched structural best response against the scalar search it replaced
-and against the unpruned kernel it grew from."""
+of the batched exact best response against full subset enumeration, of the
+batched structural best response against the scalar search it replaced, of
+both modes of the pruned kernel against the unpruned one, and of a batch of
+games against each game solved alone."""
 
 import itertools
 import json
@@ -21,19 +22,19 @@ from netpublic import (
     optimal_contributions,
     utility,
     verify_nash,
+    welfare_max_equilibria,
+    welfare_max_equilibrium,
 )
 from netpublic import cli
 from netpublic.best_response import (
-    _best_responses,
     _gross_utilities,
     _link_gain,
-    _link_rows,
-    _structural_responses,
+    _responses,
     _subset_matrix,
     _subset_members,
     _top_up,
 )
-from tests.conftest import FAMILIES
+from tests.conftest import FAMILIES, unpruned_exact_responses
 
 # derandomized, so tier-1 runs the same examples every time
 ORACLE_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=30)
@@ -136,8 +137,9 @@ def _enumerated_best_response(i, profile, params):
 @given(kernel_cases())
 def test_batched_best_response_matches_single_and_enumeration(case):
     params, players, X, Y = case
-    pick, x, y, util = _best_responses(players, X, Y, params)
-    links = _link_rows(players, pick, params.n)
+    src, indeg = np.arange(len(players)), np.zeros(X.shape, dtype=int)
+    links, x, y, util = _responses("exact", players, src, X, Y, indeg, params)
+    want = unpruned_exact_responses(players, X, Y, params)
     for r, i in enumerate(players.tolist()):
         profile = StrategyProfile(X[r], Y[r], np.zeros((params.n, params.n)))
         br = best_response(i, profile, params, "exact")
@@ -145,20 +147,25 @@ def test_batched_best_response_matches_single_and_enumeration(case):
         assert x[r].tobytes() == np.float64(br.x).tobytes()
         assert y[r].tobytes() == np.float64(br.y).tobytes()
         assert util[r].tobytes() == np.float64(br.utility).tobytes()
-        u, want, want_x, want_y = _enumerated_best_response(i, profile, params)
-        assert br.links == want
+        # the kernel before pruning: same choice, and sums in another order
+        # may move only the last bit of the utility
+        assert np.array_equal(links[r], want[0][r])
+        assert (x[r], y[r]) == (want[1][r], want[2][r])
+        assert util[r] == pytest.approx(want[3][r], rel=1e-12)
+        u, choice, want_x, want_y = _enumerated_best_response(i, profile, params)
+        assert br.links == choice
         assert br.x == pytest.approx(want_x, abs=1e-12)
         assert br.y == pytest.approx(want_y, abs=1e-12)
         assert br.utility == pytest.approx(u, abs=1e-9)
 
 
 @st.composite
-def structural_cases(draw):
-    """A game on 3 to 120 players and 1 to 10 rows, each with its own
+def structural_cases(draw, max_n=120):
+    """A game on 3 to max_n players and 1 to 10 rows, each with its own
     contributions, in-degrees and best-responding player.  Receiver shares
     differ between rows, so candidate counts differ and rows are padded;
     provision drawn from a few levels makes the provider ranking meet ties."""
-    n = draw(st.integers(3, 120))
+    n = draw(st.integers(3, max_n))
     b = draw(st.integers(1, 10))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     types = np.array([0.0, *np.sort(rng.uniform(0.001, 0.999, n - 2)), 1.0])
@@ -194,10 +201,10 @@ def _structural_reference(i, x, y, receivers, params):
 @given(structural_cases())
 def test_structural_kernel_matches_batch_of_one_and_scalar_search(case):
     params, players, X, Y, indeg = case
-    batch = _structural_responses(players, np.arange(len(players)), X, Y, indeg, params)
+    batch = _responses("structural", players, np.arange(len(players)), X, Y, indeg, params)
     for r, i in enumerate(players.tolist()):
-        one = _structural_responses(players[r : r + 1], np.zeros(1, dtype=int), X[r : r + 1],
-                                    Y[r : r + 1], indeg[r : r + 1], params)
+        one = _responses("structural", players[r : r + 1], np.zeros(1, dtype=int), X[r : r + 1],
+                         Y[r : r + 1], indeg[r : r + 1], params)
         for got, alone in zip(batch, one):
             assert got[r].tobytes() == alone[0].tobytes()
         links, x, y, u = _structural_reference(i, X[r], Y[r], indeg[r] > 0, params)
@@ -207,15 +214,19 @@ def test_structural_kernel_matches_batch_of_one_and_scalar_search(case):
         assert batch[3][r] == pytest.approx(u, rel=1e-12)
 
 
-def _unpruned_candidates(players, X, Y, indeg):
-    """Structural candidates before pruning, one state row per kernel row:
-    receivers plus the top 4 providers, padded with n to the batch maximum."""
+def _unpruned_candidates(mode, players, X, Y, indeg):
+    """Candidates before pruning, one state row per kernel row, padded with
+    n to the batch maximum: every opponent in exact mode, the receivers plus
+    the top 4 providers in structural mode."""
     b, n = len(players), X.shape[1]
-    top = np.argsort(-(X + Y), axis=1, kind="stable")[:, :5]
-    keep = top != players[:, None]
-    keep &= np.cumsum(keep, axis=1) <= 4
-    cand = indeg > 0
-    cand[np.nonzero(keep)[0], top[keep]] = True
+    if mode == "exact":
+        cand = np.ones((b, n), dtype=bool)
+    else:
+        top = np.argsort(-(X + Y), axis=1, kind="stable")[:, :5]
+        keep = top != players[:, None]
+        keep &= np.cumsum(keep, axis=1) <= 4
+        cand = indeg > 0
+        cand[np.nonzero(keep)[0], top[keep]] = True
     cand[np.arange(b), players] = False
     count = cand.sum(axis=1)
     table = np.full((b, count.max() + 1), n)
@@ -224,12 +235,14 @@ def _unpruned_candidates(players, X, Y, indeg):
     return table
 
 
-def _unpruned_responses(players, X, Y, indeg, params):
-    """The structural kernel as it was before submodular pruning: every
-    subset of at most 3 unpruned candidates, padded slots providing 0."""
+def _unpruned_responses(mode, players, X, Y, indeg, params):
+    """The candidate-table kernel as it was before submodular pruning: every
+    subset of the unpruned candidates (at most 3 of them in structural
+    mode), padded slots providing 0, all rows in one pass."""
     b, n = len(players), X.shape[1]
-    table = _unpruned_candidates(players, X, Y, indeg)
-    slots, sizes = _subset_members(table.shape[1] - 1)
+    table = _unpruned_candidates(mode, players, X, Y, indeg)
+    m = table.shape[1] - 1
+    slots, sizes = _subset_members(m, m if mode == "exact" else 3)
     cols = np.arange(b)[:, None], np.minimum(table, n - 1)
     xs, ys = np.where(table < n, X[cols], 0.0), np.where(table < n, Y[cols], 0.0)
     x_bar, y_bar = xs[:, slots[:, 0]], ys[:, slots[:, 0]]
@@ -246,10 +259,12 @@ def _unpruned_responses(players, X, Y, indeg, params):
 
 @st.composite
 def pruning_cases(draw):
-    """structural_cases with per-player costs in half the games, kernel rows
-    mapped onto 1 to 4 state rows, and k in half the games set to a
-    candidate's link gain, or that gain plus or minus EPS_DEV."""
-    params, _, X, Y, indeg = draw(structural_cases())
+    """structural_cases in either mode (exact at n <= 12) with per-player
+    costs in half the games, kernel rows mapped onto 1 to 4 state rows, and
+    k in three quarters of the games set to a candidate's link gain, or that
+    gain plus or minus EPS_DEV."""
+    mode = draw(st.sampled_from(["structural", "exact"]))
+    params, _, X, Y, indeg = draw(structural_cases(max_n=12 if mode == "exact" else 120))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n, rows = params.n, len(X)
     if draw(st.booleans()):
@@ -258,21 +273,56 @@ def pruning_cases(draw):
     players, src = rng.integers(0, n, b), rng.integers(0, rows, b)
     edge = draw(st.sampled_from([None, -1, 0, 1]))
     if edge is not None:
-        table = _unpruned_candidates(players, X[src], Y[src], indeg[src])
+        table = _unpruned_candidates(mode, players, X[src], Y[src], indeg[src])
         r, c = np.nonzero(table < n)
         j = table[r, c]
         gains = _link_gain(players[r], X[src[r], j], Y[src[r], j], params)
         gains = gains[gains > 2 * EPS_DEV]
         if gains.size:
             params = params.with_k(float(gains[rng.integers(gains.size)]) + edge * EPS_DEV)
-    return params, players, src, X, Y, indeg
+    return mode, params, players, src, X, Y, indeg
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(pruning_cases())
 def test_pruned_structural_kernel_matches_unpruned(case):
-    params, players, src, X, Y, indeg = case
-    got = _structural_responses(players, src, X, Y, indeg, params)
-    want = _unpruned_responses(players, X[src], Y[src], indeg[src], params)
+    mode, params, players, src, X, Y, indeg = case
+    got = _responses(mode, players, src, X, Y, indeg, params)
+    want = _unpruned_responses(mode, players, X[src], Y[src], indeg[src], params)
     for a, b in zip(got, want):
         assert a.tobytes() == b.tobytes()
+
+
+@st.composite
+def game_families(draw):
+    """2 to 6 games on one society, as the subsidy planner and sweep_k pose
+    them: each game has its own k and, in about half of them, its own
+    per-player costs.  Exact mode at n <= 12, structural mode up to n = 30."""
+    mode = draw(st.sampled_from(["exact", "structural"]))
+    n = draw(st.integers(3, 12 if mode == "exact" else 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    types = np.array([0.0, *np.sort(rng.uniform(0.001, 0.999, n - 2)), 1.0])
+    spec = draw(st.sampled_from(FAMILIES))
+    c = draw(st.floats(0.5, 2.0))
+    games = []
+    for _ in range(draw(st.integers(2, 6))):
+        costs = c * rng.uniform(0.5, 1.5, n) if rng.random() < 0.5 else None
+        probe = GameParams(types, c, 1.0, spec, costs)
+        games.append(probe.with_k(float(rng.uniform(0.05, 1.1)) * k_tilde(probe)))
+    return mode, games
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(game_families())
+def test_game_batch_matches_each_games_own_solve(case):
+    # each row of the lockstep batch reads its own game's types, costs and
+    # k; a row reading another game's would change that game's answer
+    mode, games = case
+    got = list(welfare_max_equilibria(games, mode))
+    assert len(got) == len(games)
+    for (prof, report), params in zip(got, games):
+        want, want_report = welfare_max_equilibrium(params, mode)
+        assert prof.g.tobytes() == want.g.tobytes()
+        assert prof.x.tobytes() == want.x.tobytes() and prof.y.tobytes() == want.y.tobytes()
+        assert report.classification == want_report.classification
+        assert report.contributors == want_report.contributors
