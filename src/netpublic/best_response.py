@@ -93,14 +93,6 @@ def _top_up(i, x_bar, y_bar, params: GameParams):
     return gross_value(params, i, xi, yi, x_bar, y_bar), xi, yi
 
 
-def _gross_utilities(
-    i: int, cand: np.ndarray, subsets: np.ndarray, profile: StrategyProfile, params: GameParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Utility of every candidate link subset with re-optimized contributions."""
-    gross, xi, yi = _top_up(i, subsets @ profile.x[cand], subsets @ profile.y[cand], params)
-    return gross - params.k * subsets.sum(axis=1), xi, yi
-
-
 ADD = "add"
 DELETE = "delete"
 

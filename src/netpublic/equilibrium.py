@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,12 +40,12 @@ STRUCTURE_VIOLATION = "StructureViolation"
 ROUND_ROBIN = "round_robin"
 RANDOM_PERMUTATION = "random_permutation"
 
-_FIXED_POINT_TOL = 1e-10
-_FIXED_POINT_MAX_SWEEPS = 10_000
-# digraphs per fixed-point batch in brute_force_equilibria
-_ORACLE_BLOCK = 256
-# odd multiplier of the hash that filters the revisit test (golden ratio * 2^64)
-_KEY_MIX = np.uint64(0x9E3779B97F4A7C15)
+# digraphs per block of the n <= 4 oracles: every digraph on 3 players.
+# 256 runs n = 4 1.9x faster, but bench/run.py keeps every returned profile,
+# so the extra tasks lift oracle-n4's peak_rss_mb past its bound
+_ORACLE_BLOCK = 64
+# slack of the oracle's active-set tests, relative to the largest demand
+_ACTIVE_SET_TOL = 1e-12
 _WELFARE_TIE_TOL = 1e-9
 _DYNAMICS_STARTS = 8
 
@@ -263,118 +264,141 @@ def construct_partially_collaborative(
 
 
 # ----------------------------------------------------------------------
-# contribution fixed point and the small-n oracle
+# contribution fixed points and the small-n oracles
 # ----------------------------------------------------------------------
 
-# per-graph outcome of _fixed_points
-_CONVERGED, _REVISITED, _EXHAUSTED = 0, 1, 2
+def _det(M: np.ndarray) -> np.ndarray:
+    """Determinant of each matrix of a stack, by cofactor expansion along the
+    first row: exact on the oracle's small integer matrices.  (numpy.linalg
+    would do, but its first call maps LAPACK and adds 0.6 MB of resident
+    memory to every process that runs the oracle.)"""
+    if M.shape[-1] == 0:
+        return np.ones(len(M))
+    return sum((-1) ** j * M[:, 0, j] * _det(np.delete(M[:, 1:], j, axis=2))
+               for j in range(M.shape[-1]))
 
 
-def _sweep(g: np.ndarray, xy: np.ndarray, hat: np.ndarray) -> None:
-    """One round-robin top-up sweep in place, players in index order.
+@lru_cache(maxsize=None)
+def _links_into(n: int, active: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """The links of range(n) into the players ``active`` (A): their rows,
+    columns and mask weights; every flow graph F made of such links, row b
+    the one with link l wherever bit l of b is set; and (I + F_AA)^-1 on
+    each, or 0 where I + F_AA is singular, which is exact since its
+    determinant and adjugate are integers."""
+    A = list(active)
+    rows, cols = np.nonzero(~np.eye(n, dtype=bool)[:, A])
+    cols = np.asarray(A, dtype=np.intp)[cols]
+    F = np.zeros((1 << rows.size, n, n), dtype=bool)
+    F[:, rows, cols] = (np.arange(len(F))[:, None] >> np.arange(rows.size)) & 1
+    M = np.eye(len(A)) + F[:, A][:, :, A]
+    adj = np.empty_like(M)
+    for i, j in itertools.product(range(len(A)), repeat=2):
+        adj[:, j, i] = (-1) ** (i + j) * _det(np.delete(np.delete(M, i, axis=1), j, axis=2))
+    det = _det(M)[:, None, None]
+    inverse = np.divide(adj, det, out=np.zeros_like(M), where=det != 0)
+    return rows, cols, 2.0 ** np.arange(rows.size), F, inverse
 
-    ``g`` is (m, n, n, 1), ``xy`` is (m, 2, n) and ``hat`` (2, n).
+
+def _active_set_tables(params: GameParams) -> list[list[tuple]]:
+    """Every solution of each good's top-up conditions z = max(hat - F z, 0)
+    on a flow graph F, tabulated by the links that decide it.
+
+    The conditions form a linear complementarity problem, which may have
+    several solutions.  The solution with active set A (z > 0 exactly on A)
+    solves (I + F_AA) z_A = hat_A and needs hat_i <= (F z)_i off A; only
+    F's links into A enter.  So for each A of players with hat > 0 (the
+    others never contribute) and each pattern of links into A, z_A is solved
+    once and kept where z_A > 0 and hat_i <= (F z)_i off A, both to within
+    _ACTIVE_SET_TOL of the largest demand.  A singular I + F_AA is skipped.
+    The tables hold every isolated solution and the vertices of any
+    continuum of solutions (a continuum needs demands with an integer
+    relation, such as log types 0.3 + 0.7 = 1); each vertex is an isolated
+    solution of a smaller A.
+
+    Returns for x and for y, per A with some solution, the _links_into rows,
+    columns and mask weights, and by pattern the solution and whether it
+    holds.
     """
-    for i in range(hat.shape[1]):
-        xy[:, :, i] = np.maximum(hat[:, i] - (xy @ g[:, i])[:, :, 0], 0.0)
+    n = params.n
+    if n > 4:
+        raise ValueError("the active-set oracle is limited to n <= 4")
+    tables = []
+    for hat in (params.x_hat, params.y_hat):
+        # relative to the largest demand, so that a point on the boundary of
+        # two active sets passes the tests of the smaller one only
+        tol = _ACTIVE_SET_TOL * max(float(hat.max()), 1.0)
+        positive = np.flatnonzero(hat > 0.0).tolist()
+        good = []
+        for size in range(len(positive) + 1):
+            for active in itertools.combinations(positive, size):
+                A = list(active)
+                rows, cols, weights, F, inverse = _links_into(n, active)
+                z = np.zeros((len(F), n))
+                z[:, A] = inverse @ hat[A]  # 0 where singular, which z_A > 0 rejects
+                short = hat - z - (F @ z[:, :, None])[:, :, 0]
+                ok = (z[:, A] > tol).all(axis=1) & (short <= tol).all(axis=1)
+                if ok.any():
+                    good.append((rows, cols, weights, z, ok))
+        tables.append(good)
+    return tables
 
 
-def _keys(xy: np.ndarray) -> np.ndarray:
-    """Each graph's contributions rounded to the convergence tolerance."""
-    m, goods, n = xy.shape
-    return np.round(xy / _FIXED_POINT_TOL).reshape(m, goods * n)
-
-
-def _replayed_key_equals(
-    g: np.ndarray, hat: np.ndarray, sweeps: np.ndarray, keys: np.ndarray
-) -> np.ndarray:
-    """Whether each graph's key after sweep ``sweeps[r] + 1``, replayed from
-    the isolation demands, has exactly the bits of ``keys[r]``."""
-    xy = np.repeat(hat[None], len(g), axis=0)
-    same = np.zeros(len(g), dtype=bool)
-    for s in range(int(sweeps.max()) + 1):
-        _sweep(g, xy, hat)
-        at = sweeps == s
-        same[at] = (_keys(xy[at]).view(np.uint64) == keys[at].view(np.uint64)).all(axis=1)
-    return same
-
-
-def _fixed_points(
-    G: np.ndarray, params: GameParams
+def _contribution_profiles(
+    F: np.ndarray, tables: list[list[tuple]]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Round-robin top-up iteration on every link graph of a stack G (m, n, n).
-
-    Each graph runs its own sweeps: players update in index order to
-    x_i = max(x_hat_i - sum_j g_ij x_j, 0), and likewise y.  A graph leaves the
-    batch once a sweep moves no contribution by _FIXED_POINT_TOL or more
-    (converged) or once its state, rounded to that tolerance, repeats the state
-    after an earlier sweep (revisited).  Graphs still running after
-    _FIXED_POINT_MAX_SWEEPS sweeps are exhausted.
-
-    The revisit history holds one 64-bit hash per graph and sweep; a hash
-    match is confirmed against the exact key by replaying that graph, so the
-    verdict is the one a set of exact keys gives.
-
-    Returns X and Y of shape (m, n) and one status per graph.
-    """
-    G = np.asarray(G, dtype=float)[..., None]
-    m, n = G.shape[0], params.n
-    hat = np.stack([params.x_hat, params.y_hat])
-    XY = np.repeat(hat[None], m, axis=0)  # (graph, good, player)
-    status = np.full(m, _EXHAUSTED, dtype=np.int8)
-    live, g, xy = np.arange(m), G, XY.copy()
-    mix = _KEY_MIX * np.arange(1, 4 * n, 2, dtype=np.uint64)
-    hashes = np.zeros((m, 16), dtype=np.uint64)  # column s: hash after sweep s + 1
-    for t in range(_FIXED_POINT_MAX_SWEEPS):
-        before = xy.copy()
-        _sweep(g, xy, hat)
-        # each contribution moves once per sweep, so the largest single
-        # update of the sweep is the largest move over the whole sweep
-        leave = np.abs(xy - before).max(axis=(1, 2)) < _FIXED_POINT_TOL
-        status[live[leave]] = _CONVERGED
-        keys = _keys(xy)
-        h = (keys.view(np.uint64) * mix).sum(axis=1)
-        match = hashes[:, :t] == h[:, None]
-        suspect = match.any(axis=1) & ~leave
-        if suspect.any():
-            rows, cols = np.nonzero(match & suspect[:, None])
-            rows = rows[_replayed_key_equals(g[rows], hat, cols, keys[rows])]
-            status[live[rows]] = _REVISITED
-            leave[rows] = True
-        if t == hashes.shape[1]:
-            hashes = np.concatenate([hashes, np.zeros_like(hashes)], axis=1)
-        hashes[:, t] = h
-        if leave.any():
-            XY[live[leave]] = xy[leave]
-            keep = ~leave
-            live, g, xy, hashes = live[keep], g[keep], xy[keep], hashes[keep]
-            if not live.size:
-                break
-    XY[live] = xy
-    return XY[:, 0].copy(), XY[:, 1].copy(), status
+    """Every contribution fixed point (x, y) on each flow graph of a stack F
+    (m, n, n), looked up in the _active_set_tables: each x solution paired
+    with each y solution of the same graph.  Returns the graph index of each,
+    ascending, and X and Y."""
+    found = []
+    for good in tables:
+        rows, sols = [], []
+        for ia, ib, weights, z, ok in good:
+            code = (F[:, ia, ib] @ weights).astype(np.intp)
+            r = np.flatnonzero(ok[code])
+            rows.append(r)
+            sols.append(z[code[r]])
+        rows = np.concatenate(rows)
+        order = np.argsort(rows, kind="stable")
+        found.append((rows[order], np.concatenate(sols)[order]))
+    (rx, X), (ry, Y) = found
+    # x solution a pairs with the y solutions first[a], ..., first[a] + count[a] - 1
+    first = np.searchsorted(ry, rx)
+    count = np.searchsorted(ry, rx, side="right") - first
+    ix = np.repeat(np.arange(rx.size), count)
+    iy = np.repeat(first - np.cumsum(count) + count, count) + np.arange(ix.size)
+    return rx[ix], X[ix], Y[iy]
 
 
 def contribution_fixed_point(g: np.ndarray, params: GameParams) -> tuple[np.ndarray, np.ndarray]:
-    """Round-robin top-up iteration on a fixed link graph.
+    """The top-up contributions x_i = max(x_hat_i - sum_j g_ij x_j, 0), and
+    likewise y, on a fixed link graph.
 
-    Runs _fixed_points on a batch of one.  Raises NonConvergenceError on a
-    detected cycle or when the sweep budget is exhausted, which signals that
-    the graph supports no pure contribution equilibrium under this dynamic.
+    The oracle's active-set kernel on a batch of one, so limited to n <= 4.
+    Raises ValueError, with their count, when the graph has several fixed
+    points: each good's conditions form a linear complementarity problem
+    with possibly several solutions (or a continuum, reported as its
+    vertices).
     """
-    X, Y, status = _fixed_points(np.asarray(g)[None], params)
-    if status[0] == _REVISITED:
-        raise NonConvergenceError("contribution dynamic revisited a state")
-    if status[0] == _EXHAUSTED:
-        raise NonConvergenceError("contribution dynamic exhausted its sweep budget")
+    _, X, Y = _contribution_profiles(np.asarray(g, dtype=float)[None], _active_set_tables(params))
+    if len(X) != 1:
+        raise ValueError(f"the link graph has {len(X)} contribution fixed points")
     return X[0], Y[0]
 
 
-def _nash_stable(G: np.ndarray, X: np.ndarray, Y: np.ndarray, params: GameParams) -> np.ndarray:
-    """Exact Nash verdict for each profile (G[r], X[r], Y[r]) of a stack.
+def _nash_stable(
+    G: np.ndarray, X: np.ndarray, Y: np.ndarray, params: GameParams, two_way: bool
+) -> np.ndarray:
+    """Exact Nash verdict for each contribution fixed point (G[r], X[r], Y[r])
+    of a stack.
 
-    True exactly where find_profitable_deviation(profile, params, EXACT) is
+    One-way, True where find_profitable_deviation(profile, params, EXACT) is
     None: no player's best response over all link subsets, with the same
-    fewest-links tie-break, beats their current utility by more than EPS_DEV.
+    fewest-links tie-break, beats their current utility by more than
+    EPS_DEV.  Under two-way flow a player also reaches everyone who links to
+    them, free of charge, whichever links they buy.  At a fixed point each
+    player's contributions top up what they reach, so their current utility
+    is that of their current links among the subsets (to rounding).
 
     The oracle enumerates every subset of a player's n - 1 <= 3 opponents as
     one stacked 1 x (n - 1) product per profile instead of calling the pruned
@@ -386,35 +410,43 @@ def _nash_stable(G: np.ndarray, X: np.ndarray, Y: np.ndarray, params: GameParams
     m, n = X.shape
     subsets = _subset_matrix(n - 1, None)
     fees = params.k * subsets.sum(axis=1)
+    weights = 2.0 ** np.arange(n - 1)
+    row_of = np.argsort(subsets @ weights)  # the subset row of each link mask
+    # player i pays for the provision paid[r, i] reaches and gets free[r, i]
+    paid = [np.broadcast_to(Z[:, None, :], G.shape) for Z in (X, Y)]
+    free = [np.zeros((m, n))] * 2
+    if two_way:  # everyone who links to i is reached for free, linked or not
+        into = G.transpose(0, 2, 1)  # into[r, i, j] = g_ji
+        paid = [P * (1.0 - into) for P in paid]
+        free = [(into @ Z[:, :, None])[:, :, 0] for Z in (X, Y)]
     keep = np.arange(m)  # profiles no player has deviated from so far
     for i in range(n):
         if not keep.size:
             break
-        Xk, Yk = X[keep], Y[keep]
         cand = [j for j in range(n) if j != i]
-        gross = _top_up(i, (Xk[:, cand][:, None] @ subsets.T)[:, 0],
-                        (Yk[:, cand][:, None] @ subsets.T)[:, 0], params)[0]
-        util = gross - fees
-        pick = np.argmax(util >= util.max(axis=1)[:, None] - EPS_DEV, axis=1)
-        best = util[np.arange(keep.size), pick]
-        current = utilities(params, i, Xk, Yk, G[keep, i])
+        x_bar, y_bar = ((P[keep, i][:, cand][:, None] @ subsets.T)[:, 0] + f[keep, i, None]
+                        for P, f in zip(paid, free))
+        util = _top_up(i, x_bar, y_bar, params)[0] - fees
+        at = np.arange(keep.size)
+        best = util[at, np.argmax(util >= util.max(axis=1)[:, None] - EPS_DEV, axis=1)]
+        current = util[at, row_of[(G[keep, i][:, cand] @ weights).astype(np.intp)]]
         keep = keep[~(best > current + EPS_DEV)]
     stable = np.zeros(m, dtype=bool)
     stable[keep] = True
     return stable
 
 
-def brute_force_equilibria(params: GameParams) -> list[StrategyProfile]:
-    """Ground truth for tiny games: test every digraph on up to 4 players.
+def _oracle(params: GameParams, two_way: bool) -> list[StrategyProfile]:
+    """Every equilibrium on up to 4 players, one-way or under two-way flow.
 
     Digraphs are enumerated in mask order (bit b links the b-th ordered pair
-    in row-major order) and handled in blocks of _ORACLE_BLOCK: one batched
-    contribution fixed point per block, then one batched exact Nash check on
-    the block's converged graphs.
+    in row-major order) and handled in blocks of _ORACLE_BLOCK: every
+    contribution fixed point of each graph's flow (the graph, or its
+    undirected closure under two-way flow) is looked up in the game's
+    _active_set_tables, then one batched exact Nash check takes them all.
     """
     n = params.n
-    if n > 4:
-        raise ValueError("brute force enumeration is limited to n <= 4")
+    tables = _active_set_tables(params)
     src, dst = np.nonzero(~np.eye(n, dtype=bool))
     total = 1 << src.size
     out: list[StrategyProfile] = []
@@ -422,12 +454,19 @@ def brute_force_equilibria(params: GameParams) -> list[StrategyProfile]:
         masks = np.arange(start, min(start + _ORACLE_BLOCK, total))
         G = np.zeros((masks.size, n, n))
         G[:, src, dst] = (masks[:, None] >> np.arange(src.size)) & 1
-        X, Y, status = _fixed_points(G, params)
-        done = np.flatnonzero(status == _CONVERGED)
-        keep = done[_nash_stable(G[done], X[done], Y[done], params)]
+        flow = np.maximum(G, G.transpose(0, 2, 1)) if two_way else G
+        rows, X, Y = _contribution_profiles(flow, tables)
+        keep = np.flatnonzero(_nash_stable(G[rows], X, Y, params, two_way))
         # copies, so that a returned profile never holds a view of the block
-        out.extend(StrategyProfile(X[r].copy(), Y[r].copy(), G[r].astype(np.int8)) for r in keep)
+        out.extend(StrategyProfile(X[r].copy(), Y[r].copy(), G[rows[r]].astype(np.int8))
+                   for r in keep)
     return out
+
+
+def brute_force_equilibria(params: GameParams) -> list[StrategyProfile]:
+    """Ground truth for tiny games: every equilibrium on up to 4 players,
+    by testing every contribution fixed point of every digraph."""
+    return _oracle(params, two_way=False)
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .best_response import _top_up
-from .equilibrium import NonConvergenceError
+from .equilibrium import NonConvergenceError, _oracle
 from .model import EPS_DEV, GameParams, StrategyProfile, gross_value
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -48,65 +48,11 @@ def utility_two_way(profile: StrategyProfile, i: int, params: GameParams) -> flo
     return gross_value(params, i, profile.x[i], profile.y[i], x_bar, y_bar) - eta * params.k
 
 
-def _two_way_fixed_point(g: np.ndarray, params: GameParams) -> tuple[np.ndarray, np.ndarray]:
-    n = params.n
-    closure = (g != 0) | (g.T != 0)
-    x = params.x_hat.copy()
-    y = params.y_hat.copy()
-    for _ in range(10_000):
-        delta = 0.0
-        for i in range(n):
-            acc = closure[i]
-            xi = max(params.x_hat[i] - float(x[acc].sum()), 0.0)
-            yi = max(params.y_hat[i] - float(y[acc].sum()), 0.0)
-            delta = max(delta, abs(xi - x[i]), abs(yi - y[i]))
-            x[i], y[i] = xi, yi
-        if delta < 1e-10:
-            return x, y
-    raise NonConvergenceError("two-way contribution dynamic did not settle")
-
-
-def _two_way_best_utility(i: int, profile: StrategyProfile, params: GameParams) -> float:
-    """Best utility over all link subsets given two-way access."""
-    n = params.n
-    in_links = np.flatnonzero(profile.g[:, i] != 0)
-    others = [j for j in range(n) if j != i]
-    best = -np.inf
-    for r in range(len(others) + 1):
-        for combo in itertools.combinations(others, r):
-            access = sorted(set(combo) | set(in_links.tolist()))
-            gross, _, _ = _top_up(
-                i, float(profile.x[access].sum()), float(profile.y[access].sum()), params
-            )
-            best = max(best, gross - params.k * r)
-    return best
-
-
 def brute_force_two_way(params: GameParams) -> list[StrategyProfile]:
-    """All two-way-flow equilibria on up to 4 players, by digraph enumeration."""
-    n = params.n
-    if n > 4:
-        raise ValueError("two-way enumeration is limited to n <= 4")
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    out = []
-    for mask in range(1 << len(pairs)):
-        g = np.zeros((n, n), dtype=np.int8)
-        for bit, (i, j) in enumerate(pairs):
-            if mask >> bit & 1:
-                g[i, j] = 1
-        try:
-            x, y = _two_way_fixed_point(g, params)
-        except NonConvergenceError:
-            continue
-        prof = StrategyProfile(x, y, g)
-        ok = True
-        for i in range(n):
-            if _two_way_best_utility(i, prof, params) > utility_two_way(prof, i, params) + EPS_DEV:
-                ok = False
-                break
-        if ok:
-            out.append(prof)
-    return out
+    """All two-way-flow equilibria on up to 4 players, by digraph enumeration:
+    the one-way oracle on each digraph's undirected closure, with receivers
+    reaching their sponsors for free in the Nash check."""
+    return _oracle(params, two_way=True)
 
 
 # ----------------------------------------------------------------------

@@ -45,3 +45,13 @@ def unpruned_exact_responses(players, X, Y, params):
     links[rows, cand] = subsets[pick]
     at = np.arange(b), pick
     return links, xi[at], yi[at], util[at]
+
+
+def gross_utilities(i, cand, subsets, profile, params):
+    """Utility of every candidate link subset of player i (rows of
+    ``subsets`` over the players ``cand``) with re-optimized contributions,
+    and those contributions."""
+    from netpublic.best_response import _top_up
+
+    gross, xi, yi = _top_up(i, subsets @ profile.x[cand], subsets @ profile.y[cand], params)
+    return gross - params.k * subsets.sum(axis=1), xi, yi

@@ -16,10 +16,11 @@ import numpy as np
 
 import netpublic as npub
 from netpublic import BenefitSpec, GameParams, StrategyProfile, TruncNormal, UNIFORM
-from netpublic.best_response import _gross_utilities, _subset_matrix
+from netpublic.best_response import _subset_matrix
 from netpublic.cli import main as cli_main
 from netpublic.metrics import welfare
 from netpublic.model import EPS_NUM
+from tests.conftest import gross_utilities
 
 
 @contextmanager
@@ -95,7 +96,7 @@ def _strictness(prof: StrategyProfile, params: GameParams) -> float:
         cand = np.array([j for j in range(params.n) if j != i])
         subsets = _subset_matrix(len(cand), None)
         current_links = frozenset(int(v) for v in prof.links_of(i))
-        util, _, _ = _gross_utilities(i, cand, subsets, prof, params)
+        util, _, _ = gross_utilities(i, cand, subsets, prof, params)
         cur = npub.utility(prof, i, params)
         for row, u in zip(subsets, util):
             links = frozenset(int(v) for v in cand[row.astype(bool)])

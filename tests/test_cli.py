@@ -209,6 +209,23 @@ def test_two_way_extension_size_limit_is_config_error(tmp_path):
     assert main(["--config", _write(tmp_path / "c.json", cfg)]) == 2
 
 
+@pytest.mark.parametrize("benefit, types, c, k", [
+    ({"family": "log"}, [0.0, 0.104536, 0.511117, 1.0], 0.54122, 0.546015),
+    ({"family": "power", "exponent": 0.3}, [0.0, 0.215582, 0.455119, 1.0], 1.848238, 0.053996),
+])
+def test_two_way_extension_counts_every_equilibrium(tmp_path, benefit, types, c, k):
+    # each game has one two-way equilibrium, at a fixed point that a
+    # Gauss-Seidel run on its digraph does not reach
+    cfg = _base_config(command="extensions", benefit=benefit, types=types, c=c, k=k,
+                       extensions={"variant": "two_way"})
+    del cfg["dist"], cfg["n"]
+    out = tmp_path / "o.json"
+    cfg["output"]["path"] = str(out)
+    assert main(["--config", _write(tmp_path / "c.json", cfg)]) == 0
+    body = json.loads(out.read_text())
+    assert body == {"variant": "two_way", "equilibrium_count": 1, "extremes_dominate": True}
+
+
 def test_non_finite_cost_is_config_error(tmp_path):
     cfg = _base_config(c=float("nan"))
     cfg["output"]["path"] = str(tmp_path / "o.json")

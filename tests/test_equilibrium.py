@@ -930,20 +930,28 @@ def test_collaborative_classes_have_two_contributors_and_no_isolated(rng):
 
 
 # ----------------------------------------------------------------------
-# the batched oracle against the per-graph loop it replaced
+# the active-set oracle against the Gauss-Seidel loop it replaced
 # ----------------------------------------------------------------------
+
+# the per-graph loop's convergence test and sweep budget, and its outcomes
+_FIXED_POINT_TOL = 1e-10
+_FIXED_POINT_MAX_SWEEPS = 10_000
+_CONVERGED, _REVISITED, _EXHAUSTED = 0, 1, 2
+# tolerance of bench/workloads.py `matches`: relative, absolute below 1
+_MATCH_TOL = 1e-9
+
 
 def _fixed_point_reference(g, params):
     """The scalar Gauss-Seidel loop of the per-graph oracle.
 
-    Returns the final (x, y), the outcome as an ``eq._CONVERGED`` /
+    Returns the final (x, y), the outcome as a ``_CONVERGED`` /
     ``_REVISITED`` / ``_EXHAUSTED`` status and the number of sweeps run.
     """
     n = params.n
     x = params.x_hat.copy()
     y = params.y_hat.copy()
     seen = set()
-    for sweep in range(1, eq._FIXED_POINT_MAX_SWEEPS + 1):
+    for sweep in range(1, _FIXED_POINT_MAX_SWEEPS + 1):
         delta = 0.0
         for i in range(n):
             row = g[i]
@@ -951,13 +959,13 @@ def _fixed_point_reference(g, params):
             yi = max(params.y_hat[i] - float(row @ y), 0.0)
             delta = max(delta, abs(xi - x[i]), abs(yi - y[i]))
             x[i], y[i] = xi, yi
-        if delta < eq._FIXED_POINT_TOL:
-            return x, y, eq._CONVERGED, sweep
-        key = np.round(np.concatenate([x, y]) / eq._FIXED_POINT_TOL).tobytes()
+        if delta < _FIXED_POINT_TOL:
+            return x, y, _CONVERGED, sweep
+        key = np.round(np.concatenate([x, y]) / _FIXED_POINT_TOL).tobytes()
         if key in seen:
-            return x, y, eq._REVISITED, sweep
+            return x, y, _REVISITED, sweep
         seen.add(key)
-    return x, y, eq._EXHAUSTED, sweep
+    return x, y, _EXHAUSTED, sweep
 
 
 def _all_digraphs(n):
@@ -976,7 +984,7 @@ def _brute_force_reference(params):
     out = []
     for g in _all_digraphs(params.n):
         x, y, status, _ = _fixed_point_reference(g, params)
-        if status != eq._CONVERGED:
+        if status != _CONVERGED:
             continue
         prof = StrategyProfile(x, y, g)
         if find_profitable_deviation(prof, params, "exact") is None:
@@ -984,9 +992,17 @@ def _brute_force_reference(params):
     return out
 
 
+def _all_fixed_points(params, graphs):
+    """The kernel's fixed points of every graph of a stack: graph indices, X, Y."""
+    return eq._contribution_profiles(np.asarray(graphs, dtype=float),
+                                     eq._active_set_tables(params))
+
+
 def test_batched_fixed_points_match_scalar_loop():
-    # a tiny interior type makes the log family converge slowly (201 sweeps
-    # at n = 3); the n = 4 games include graphs whose dynamic cycles
+    # every converged Gauss-Seidel point is one of the kernel's fixed points,
+    # and every kernel point is a fixed point; a tiny interior type makes the
+    # log family converge slowly (201 sweeps at n = 3), and the n = 4 games
+    # include graphs whose dynamic cycles
     games = [
         _params([0.0, 0.005, 1.0], c=1.0, k=0.3),
         _params([0.0, 0.02, 0.7, 1.0], c=1.5, k=0.3),
@@ -994,38 +1010,82 @@ def test_batched_fixed_points_match_scalar_loop():
     for spec in FAMILIES[1:]:
         games.append(_params([0.0, 0.4, 1.0], c=0.8, k=0.1, spec=spec))
         games.append(_params([0.0, 0.3, 0.6, 1.0], c=1.2, k=0.1, spec=spec))
-    longest, revisited = 0, 0
+    longest, revisited, several = 0, 0, 0
     for params in games:
-        graphs = list(_all_digraphs(params.n))
-        X, Y, status = eq._fixed_points(np.array(graphs), params)
+        graphs = np.array(list(_all_digraphs(params.n)))
+        rows, X, Y = _all_fixed_points(params, graphs)
+        G = graphs[rows].astype(float)
+        for Z, hat in ((X, params.x_hat), (Y, params.y_hat)):
+            residual = Z - np.maximum(hat - (G @ Z[:, :, None])[:, :, 0], 0.0)
+            assert np.abs(residual).max() <= 1e-12, params.types
+        counts = np.bincount(rows, minlength=len(graphs))
+        several += int((counts > 1).sum())
         for r, g in enumerate(graphs):
-            x, y, want, sweeps = _fixed_point_reference(g, params)
-            assert status[r] == want, (params.types, r)
-            assert np.array_equal(X[r], x) and np.array_equal(Y[r], y), (params.types, r)
+            x, y, status, sweeps = _fixed_point_reference(g, params)
             longest = max(longest, sweeps)
-            revisited += want == eq._REVISITED
+            revisited += status == _REVISITED
+            if status == _CONVERGED:
+                at = rows == r
+                gap = np.maximum(np.abs(X[at] - x).max(axis=1), np.abs(Y[at] - y).max(axis=1))
+                assert gap.size and gap.min() <= 1e-9, (params.types, r)
             if params.n == 3:  # the batch of one behind the public entry point
-                if want == eq._CONVERGED:
+                if counts[r] == 1:
                     got = contribution_fixed_point(g, params)
-                    assert np.array_equal(got[0], x) and np.array_equal(got[1], y)
+                    assert np.array_equal(got[0], X[rows == r][0])
+                    assert np.array_equal(got[1], Y[rows == r][0])
                 else:
-                    with pytest.raises(NonConvergenceError):
+                    with pytest.raises(ValueError, match=f"has {counts[r]} contribution"):
                         contribution_fixed_point(g, params)
-    assert longest > 200 and revisited > 0
+    assert longest > 200 and revisited > 0 and several > 0
 
 
 def test_brute_force_matches_per_graph_loop(rng):
+    # the same equilibria as the Gauss-Seidel oracle: links and counts
+    # exactly, contributions to the benchmark's tolerance, as a linear solve
+    # need not replay the sweeps' bits (on these games they agree exactly)
     families = set()
-    for idx in range(24):
-        params = random_scenario(rng, 3 if idx < 16 else 4, k_span=(0.05, 1.2))
+    games = [random_scenario(rng, 3 if idx < 16 else 4, k_span=(0.05, 1.2)) for idx in range(24)]
+    # log demands 0.3 + 0.7 = 1: some graphs have a continuum of fixed points
+    games.append(_params([0.0, 0.3, 0.7, 1.0], k=0.1))
+    for idx, params in enumerate(games):
         families.add((params.n, params.benefit))
         want = _brute_force_reference(params)
         got = brute_force_equilibria(params)
         assert len(got) == len(want), idx
         for a, b in zip(got, want):
             assert np.array_equal(a.g, b.g), idx
-            assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y), idx
+            for u, v in ((a.x, b.x), (a.y, b.y)):
+                scale = np.maximum(np.maximum(np.abs(u), np.abs(v)), 1.0)
+                assert np.all(np.abs(u - v) <= _MATCH_TOL * scale), idx
     assert len(families) == 6  # all three families at both sizes
+
+
+def test_continuum_of_fixed_points_yields_its_vertices():
+    # log demands 0.3 + 0.7 = 1 with links 1 -> 3, 3 -> 1, 3 -> 2: every
+    # x1 + x3 = 0.3 with x1, x3 >= 0 is a fixed point; the kernel returns the
+    # two vertices and no interior point
+    params = _params([0.0, 0.3, 0.7, 1.0])
+    g = np.zeros((4, 4), dtype=np.int8)
+    g[1, 3] = g[3, 1] = g[3, 2] = 1
+    rows, X, Y = _all_fixed_points(params, g[None])
+    assert rows.tolist() == [0, 0]
+    assert sorted((round(x[1], 12), round(x[3], 12)) for x in X) == [(0.0, 0.3), (0.3, 0.0)]
+    assert np.allclose(X[:, 2], 0.7, atol=1e-12)
+    assert np.allclose(Y, [1.0, 0.7, 0.3, 0.0], atol=1e-12)
+
+
+def test_fixed_point_rejects_graphs_with_several_fixed_points():
+    # player 0 linked both ways with players 1 and 2: y, with demands
+    # (1, 0.8, 0.5), has three isolated solutions, one of them interior
+    params = _params([0.0, 0.2, 0.5, 1.0])
+    g = np.zeros((4, 4), dtype=np.int8)
+    g[0, 1] = g[1, 0] = g[0, 2] = g[2, 0] = 1
+    _, X, Y = _all_fixed_points(params, g[None])
+    assert np.allclose(X, params.x_hat, atol=1e-12)
+    want = [[0.0, 0.8, 0.5, 0.0], [0.3, 0.5, 0.2, 0.0], [1.0, 0.0, 0.0, 0.0]]
+    assert np.allclose(sorted(Y.tolist()), want, atol=1e-12)
+    with pytest.raises(ValueError, match="has 3 contribution fixed points"):
+        contribution_fixed_point(g, params)
 
 
 def test_brute_force_profiles_share_no_memory():

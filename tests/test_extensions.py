@@ -1,11 +1,13 @@
 """Two-way flow, weighted links, and the perturbed-utility variant."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from netpublic import (
+    EPS_DEV,
     BenefitSpec,
     GameParams,
     PerturbationParams,
@@ -13,6 +15,7 @@ from netpublic import (
     UNIFORM,
     WeightedProfile,
     best_response_weighted,
+    brute_force_equilibria,
     brute_force_two_way,
     equilibrium_weighted,
     perturbation_robustness,
@@ -24,6 +27,7 @@ from netpublic import (
     utility_weighted,
     weighted_recipients,
 )
+from netpublic.best_response import _top_up
 from tests.conftest import random_scenario
 
 
@@ -55,6 +59,32 @@ def test_two_way_receiver_gets_free_access():
     assert with_access > base  # free spillovers, no fee
 
 
+def _two_way_best_utility(i, profile, params):
+    """Best utility over all link subsets given two-way access: the scalar
+    Nash check the two-way oracle once ran, kept as the reference verdict."""
+    n = params.n
+    in_links = np.flatnonzero(profile.g[:, i] != 0)
+    others = [j for j in range(n) if j != i]
+    best = -np.inf
+    for r in range(len(others) + 1):
+        for combo in itertools.combinations(others, r):
+            access = sorted(set(combo) | set(in_links.tolist()))
+            gross, _, _ = _top_up(
+                i, float(profile.x[access].sum()), float(profile.y[access].sum()), params
+            )
+            best = max(best, gross - params.k * r)
+    return best
+
+
+def _assert_two_way_equilibrium(prof, params):
+    # an exact fixed point of the undirected closure that no player improves on
+    closure = ((prof.g != 0) | (prof.g.T != 0)).astype(float)
+    assert np.allclose(prof.x, np.maximum(params.x_hat - closure @ prof.x, 0.0), atol=1e-12)
+    assert np.allclose(prof.y, np.maximum(params.y_hat - closure @ prof.y, 0.0), atol=1e-12)
+    for i in range(params.n):
+        assert _two_way_best_utility(i, prof, params) <= utility_two_way(prof, i, params) + EPS_DEV
+
+
 def test_two_way_equilibria_extremes_dominate(rng):
     checked = 0
     for _ in range(12):
@@ -63,7 +93,42 @@ def test_two_way_equilibria_extremes_dominate(rng):
             checked += 1
             assert np.all(prof.x[-1] >= prof.x - 1e-9)
             assert np.all(prof.y[0] >= prof.y - 1e-9)
+            _assert_two_way_equilibrium(prof, params)
     assert checked > 0
+
+
+def test_two_way_receivers_reach_their_sponsors_for_free():
+    # subsidized moderates supply the most of each good: one-way they link
+    # each other both ways, under two-way flow either link alone does
+    params = GameParams(np.array([0.0, 0.3, 0.7, 1.0]), 1.0, 0.2, BenefitSpec.log(),
+                        np.array([1.0, 0.5, 0.5, 1.0]))
+    one_way = [np.argwhere(prof.g).tolist() for prof in brute_force_equilibria(params)]
+    assert one_way == [[[0, 1], [1, 2], [2, 1], [3, 2]]]
+    two_way = brute_force_two_way(params)
+    assert [np.argwhere(prof.g).tolist() for prof in two_way] == [
+        [[0, 1], [1, 2], [3, 2]], [[0, 1], [2, 1], [3, 2]]]
+    for prof in two_way:
+        _assert_two_way_equilibrium(prof, params)
+
+
+# two-way equilibria that a Gauss-Seidel run per digraph misses: it settles
+# on another fixed point of the same digraph
+TWO_WAY_MISSED = [
+    ([0.0, 0.104536, 0.511117, 1.0], 0.54122, 0.546015, BenefitSpec.log()),
+    ([0.0, 0.215582, 0.455119, 1.0], 1.848238, 0.053996, BenefitSpec.power(0.3)),
+]
+
+
+@pytest.mark.parametrize("types, c, k, spec", TWO_WAY_MISSED)
+def test_two_way_oracle_checks_every_fixed_point(types, c, k, spec):
+    params = GameParams(np.array(types), c, k, spec)
+    eqs = brute_force_two_way(params)
+    assert len(eqs) == 1
+    _assert_two_way_equilibrium(eqs[0], params)
+    if spec.family == "log":
+        assert np.argwhere(eqs[0].g).tolist() == [[1, 0], [2, 0], [2, 3]]
+        assert np.allclose(eqs[0].x, [0.0, 0.193149, 0.0, 1.847677], atol=1e-6)
+        assert np.allclose(eqs[0].y, [1.847677, 0.0, 0.0, 0.0], atol=1e-6)
 
 
 # ----------------------------------------------------------------------

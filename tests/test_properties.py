@@ -1,5 +1,6 @@
 """Property tests of the paper's invariants on the n <= 4 brute-force oracle,
-of the batched exact best response against full subset enumeration, of the
+of its one-way and two-way Nash checks on symmetric digraphs, of the
+batched exact best response against full subset enumeration, of the
 batched structural best response against the scalar search it replaced, of
 both modes of the pruned kernel against the unpruned one, and of a batch of
 games against each game solved alone."""
@@ -18,6 +19,7 @@ from netpublic import (
     StrategyProfile,
     best_response,
     brute_force_equilibria,
+    find_profitable_deviation,
     k_tilde,
     optimal_contributions,
     utility,
@@ -26,15 +28,15 @@ from netpublic import (
     welfare_max_equilibrium,
 )
 from netpublic import cli
+from netpublic import equilibrium as eq
 from netpublic.best_response import (
-    _gross_utilities,
     _link_gain,
     _responses,
     _subset_matrix,
     _subset_members,
     _top_up,
 )
-from tests.conftest import FAMILIES, unpruned_exact_responses
+from tests.conftest import FAMILIES, gross_utilities, unpruned_exact_responses
 
 # derandomized, so tier-1 runs the same examples every time
 ORACLE_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=30)
@@ -98,6 +100,37 @@ def test_oracle_members_survive_the_json_round_trip(params):
         assert np.array_equal(back.g, prof.g)
         want = verify_nash(prof, params, "exact").classification
         assert verify_nash(back, params, "exact").classification == want
+
+
+@st.composite
+def symmetric_cases(draw):
+    """A game as in small_games and a symmetric digraph on its players."""
+    params = draw(small_games())
+    n = params.n
+    upper = draw(st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    g = np.zeros((n, n))
+    g[np.triu_indices(n, 1)] = upper
+    return params, g + g.T
+
+
+@ORACLE_SETTINGS
+@given(symmetric_cases())
+def test_two_way_verdicts_on_symmetric_digraphs(case):
+    # G = G^T is its own undirected closure, so both flows solve the same
+    # fixed points and price deviations alike, except that under two-way
+    # flow whoever links to a player is reached for free: the one-way verdict
+    # is the exact deviation search's, the two-way one agrees on the empty
+    # graph, and elsewhere a mutual link is dropped at a gain of k
+    params, g = case
+    rows, X, Y = eq._contribution_profiles(g[None], eq._active_set_tables(params))
+    assert rows.size >= 1
+    G = np.repeat(g[None], rows.size, axis=0)
+    one_way = eq._nash_stable(G, X, Y, params, two_way=False)
+    two_way = eq._nash_stable(G, X, Y, params, two_way=True)
+    want = [find_profitable_deviation(StrategyProfile(x, y, g), params, "exact") is None
+            for x, y in zip(X, Y)]
+    assert one_way.tolist() == want
+    assert two_way.tolist() == (want if not g.any() else [False] * rows.size)
 
 
 @st.composite
@@ -192,7 +225,7 @@ def _structural_reference(i, x, y, receivers, params):
     cand = np.flatnonzero(cand)
     subsets = _subset_matrix(len(cand), 3)
     profile = StrategyProfile(x, y, np.zeros((params.n, params.n)))
-    util, xi, yi = _gross_utilities(i, cand, subsets, profile, params)
+    util, xi, yi = gross_utilities(i, cand, subsets, profile, params)
     idx = int(np.argmax(util >= np.max(util) - EPS_DEV))
     return tuple(cand[subsets[idx].astype(bool)].tolist()), xi[idx], yi[idx], util[idx]
 
