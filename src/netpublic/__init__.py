@@ -6,8 +6,6 @@ from .benefits import BenefitSpec
 from .best_response import (
     ADD,
     DELETE,
-    EXACT,
-    STRUCTURAL,
     BestResponse,
     Deviation,
     best_response,

@@ -2,13 +2,14 @@
 
 Contributions given a fixed link set have a closed form (top up each good to
 its isolation demand), so a best response reduces to a search over link sets.
-Exact mode searches every subset of opponents; structural mode restricts
-the search to plausible targets (current link receivers plus the largest
-providers) and to at most three links, which is what equilibrium structure
-says sponsors actually use.  Both drop every target whose standalone link
-gain cannot cover k, which provably changes no answer.
-Both modes run one array kernel over a stack of rows: ``best_response`` is
-its batch of one, and ``find_profitable_deviation`` one call per block of players.
+The search follows from n (``_search``): exact, over every subset of the
+opponents, while all 2^(n-1) of them fit one kernel pass (n <= 14), and
+structural above that, over plausible targets (current link receivers plus
+the largest providers) and at most three links, which is what equilibrium
+structure says sponsors actually use.  Both drop every target whose
+standalone link gain cannot cover k, which provably changes no answer.
+Both run one array kernel over a stack of rows: ``best_response`` is its
+batch of one, and ``find_profitable_deviation`` one call per block of players.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .model import EPS_DEV, GameParams, StrategyProfile, gross_value, utilities
 EXACT = "exact"
 STRUCTURAL = "structural"
 
-_EXACT_MAX_PLAYERS = 16
 # bounds temporaries: rows x subsets per pass, players x n per deviation block or window row
 _KERNEL_CHUNK = 1 << 13
 _STRUCTURAL_TOP_PROVIDERS = 4
@@ -203,7 +203,8 @@ def _responses(mode: str, who, src, X, Y, indeg, params: GameParams):
     among the subsets of ``_candidate_table``'s candidates, at most
     _STRUCTURAL_MAX_LINKS of them in structural mode and any number in exact
     mode, in (size, lex) order, the first within EPS_DEV of the maximum.
-    Returns link rows, x, y and utility.
+    Returns link rows, x, y and utility.  The package passes ``_search(n)``
+    as the mode; naming it here lets a test pin either search at any n.
 
     Dropping a target j whose gain d_j = _link_gain(i, x_j, y_j) is at most
     k - EPS_DEV changes no answer.  i's gross value sums, over the goods, a
@@ -218,11 +219,9 @@ def _responses(mode: str, who, src, X, Y, indeg, params: GameParams):
     first.  A batch whose rows x subsets at its widest row exceed
     _KERNEL_CHUNK is taken in order of candidate count, in passes within that
     bound, each padded to its own widest row; so each row equals its batch of
-    one bit for bit.  Exact mode takes n <= 16.
+    one bit for bit.
     """
     b, n = len(who), X.shape[1]
-    if mode == EXACT and n > _EXACT_MAX_PLAYERS:
-        raise ValueError(f"exact mode supports at most {_EXACT_MAX_PLAYERS} players")
     if mode not in (EXACT, STRUCTURAL):
         raise ValueError(f"unknown mode {mode!r}")
     table, count = _candidate_table(mode, who, src, X, Y, indeg, params)
@@ -257,34 +256,36 @@ def _responses(mode: str, who, src, X, Y, indeg, params: GameParams):
     return links, *out
 
 
-def best_response(
-    i: int, profile: StrategyProfile, params: GameParams, mode: str = EXACT
-) -> BestResponse:
+def _search(n: int) -> str:
+    """The search of an n-player game: exact while every subset of a player's
+    n - 1 opponents fits one kernel pass, structural above."""
+    return EXACT if 1 << (n - 1) <= _KERNEL_CHUNK else STRUCTURAL
+
+
+def best_response(i: int, profile: StrategyProfile, params: GameParams) -> BestResponse:
     """Utility-maximizing (links, contributions) for player i.
 
     Among strategies within EPS_DEV of the maximum, the one with the fewest
     links and then the lexicographically smallest target set is returned, so
     results are identical across platforms and traversal orders.  This is
-    the mode's kernel on a batch of one.
+    the kernel of the game's search on a batch of one.
     """
     state = profile.x[None], profile.y[None], profile.in_degree()[None]
-    links, x, y, u = _responses(mode, np.array([i]), np.array([0]), *state, params)
+    links, x, y, u = _responses(_search(params.n), np.array([i]), np.array([0]), *state, params)
     chosen = tuple(np.flatnonzero(links[0]).tolist())
     return BestResponse(chosen, float(x[0]), float(y[0]), float(u[0]))
 
 
-def find_profitable_deviation(
-    profile: StrategyProfile, params: GameParams, mode: str = EXACT
-) -> Deviation | None:
+def find_profitable_deviation(profile: StrategyProfile, params: GameParams) -> Deviation | None:
     """Lowest-indexed player with a strategy improving by more than EPS_DEV,
     searched one kernel call per block of _KERNEL_CHUNK // n players (which
     bounds the block's link rows), up to the first block with a deviator."""
     n, x, y, indeg = params.n, profile.x[None], profile.y[None], profile.in_degree()[None]
-    step = max(1, _KERNEL_CHUNK // n)
+    step, search = max(1, _KERNEL_CHUNK // n), _search(n)
     for lo in range(0, n, step):
         players = np.arange(lo, min(lo + step, n))
         src = np.zeros_like(players)  # every player against the one profile
-        links, new_x, new_y, best = _responses(mode, players, src, x, y, indeg, params)
+        links, new_x, new_y, best = _responses(search, players, src, x, y, indeg, params)
         current = utilities(params, players, x, y, profile.g[players])
         better = best > current + EPS_DEV
         if better.any():

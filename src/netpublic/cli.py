@@ -205,25 +205,25 @@ def _write_json(path: str, body: dict) -> None:
         fh.write(json.dumps(_round_sig(body), sort_keys=True, indent=1) + "\n")
 
 
-def _cmd_solve(cfg, params, k_grid, mode, fmt, out):
+def _cmd_solve(cfg, params, k_grid, fmt, out):
     if k_grid is not None:
         raise ConfigError("solve takes a single k, not a grid")
-    profile, report = welfare_max_equilibrium(params, mode)
+    profile, report = welfare_max_equilibrium(params)
     rec = _record_for(params.k, profile, report, params)
     emit_report([rec], fmt, out, profiles=[profile] if fmt == "json" else None)
     return EXIT_STRUCTURE if rec.classification == STRUCTURE_VIOLATION else EXIT_OK
 
 
-def _cmd_sweep(cfg, params, k_grid, mode, fmt, out):
+def _cmd_sweep(cfg, params, k_grid, fmt, out):
     if k_grid is None:
         raise ConfigError("sweep_k needs k_grid")
-    records, profiles = sweep_k(params, k_grid, mode, return_profiles=True)
+    records, profiles = sweep_k(params, k_grid, return_profiles=True)
     emit_report(records, fmt, out, profiles=profiles if fmt == "json" else None)
     bad = any(r.classification == STRUCTURE_VIOLATION for r in records)
     return EXIT_STRUCTURE if bad else EXIT_OK
 
 
-def _cmd_verify(cfg, params, k_grid, mode, fmt, out):
+def _cmd_verify(cfg, params, k_grid, fmt, out):
     src = cfg.get("verify_profile")
     if not src:
         raise ConfigError("verify needs verify_profile: path to a JSON report")
@@ -239,7 +239,7 @@ def _cmd_verify(cfg, params, k_grid, mode, fmt, out):
             raise ConfigError("verify needs records with embedded profiles (json format)")
         profile = _profile_from_payload(entry["profile"], params.n)
         k = float(entry.get("k", params.k))
-        rep = verify_nash(profile, params.with_k(k), mode)
+        rep = verify_nash(profile, params.with_k(k))
         records.append(_record_for(k, profile, rep, params.with_k(k)))
         profiles.append(profile)
     if not records:
@@ -249,7 +249,7 @@ def _cmd_verify(cfg, params, k_grid, mode, fmt, out):
     return EXIT_STRUCTURE if bad else EXIT_OK
 
 
-def _cmd_subsidy(cfg, params, k_grid, mode, fmt, out):
+def _cmd_subsidy(cfg, params, k_grid, fmt, out):
     if fmt != "json":
         raise ConfigError("subsidy reports are JSON only")
     sub = cfg.get("subsidy") or {}
@@ -260,9 +260,8 @@ def _cmd_subsidy(cfg, params, k_grid, mode, fmt, out):
         float(sub["budget"]),
         target_grid=int(sub.get("target_grid", 8)),
         level_grid=int(sub.get("level_grid", 20)),
-        mode=mode,
     )
-    rep = verify_nash(profile, params.with_costs(params.cost_vec - plan.v), mode)
+    rep = verify_nash(profile, params.with_costs(params.cost_vec - plan.v))
     body = {
         "regime": regime,
         "budget": plan.budget,
@@ -276,7 +275,7 @@ def _cmd_subsidy(cfg, params, k_grid, mode, fmt, out):
     return EXIT_STRUCTURE if rep.classification == STRUCTURE_VIOLATION else EXIT_OK
 
 
-def _cmd_law_of_few(cfg, params, k_grid, mode, fmt, out):
+def _cmd_law_of_few(cfg, params, k_grid, fmt, out):
     if fmt != "json":
         raise ConfigError("law_of_few reports are JSON only")
     lof = cfg.get("law_of_few") or {}
@@ -298,7 +297,7 @@ def _cmd_law_of_few(cfg, params, k_grid, mode, fmt, out):
     return EXIT_OK
 
 
-def _cmd_extensions(cfg, params, k_grid, mode, fmt, out):
+def _cmd_extensions(cfg, params, k_grid, fmt, out):
     if fmt != "json":
         raise ConfigError("extension reports are JSON only")
     ext = cfg.get("extensions") or {}
@@ -313,7 +312,7 @@ def _cmd_extensions(cfg, params, k_grid, mode, fmt, out):
             "y": [float(v) for v in wp.y],
         }
     elif variant == "perturbed":
-        profile, report = welfare_max_equilibrium(params, mode)
+        profile, report = welfare_max_equilibrium(params)
         frac = perturbation_robustness(
             profile,
             params,
@@ -363,7 +362,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", help="output path (overrides config)")
     parser.add_argument("--format", choices=["csv", "json"], help="output format override")
     parser.add_argument("--seed", type=int, help="seed override")
-    parser.add_argument("--mode", choices=["exact", "structural"], help="search mode override")
+    parser.add_argument("--mode", choices=["exact", "structural"],
+                        help="accepted and ignored: the search follows from n")
     args = parser.parse_args(argv)
 
     try:
@@ -383,7 +383,8 @@ def main(argv=None) -> int:
             raise ConfigError("no output path given")
         if fmt not in ("csv", "json"):
             raise ConfigError(f"unknown format {fmt!r}")
-        mode = args.mode or cfg.get("mode", "structural")
+        # validated for old configs, but selects nothing: the search follows from n
+        mode = args.mode or cfg.get("mode", "exact")
         if mode not in ("exact", "structural"):
             raise ConfigError(f"unknown mode {mode!r}")
         params, k_grid = _parse_params(cfg)
@@ -392,7 +393,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     try:
-        return _COMMANDS[command](cfg, params, k_grid, mode, fmt, out)
+        return _COMMANDS[command](cfg, params, k_grid, fmt, out)
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -17,12 +17,11 @@ from functools import lru_cache
 import numpy as np
 
 from .best_response import (
-    EXACT,
-    STRUCTURAL,
     Deviation,
     _KERNEL_CHUNK,
     _link_gain,
     _responses,
+    _search,
     _subset_matrix,
     _top_up,
     find_profitable_deviation,
@@ -69,15 +68,12 @@ class DynamicsConfig:
     max_rounds: int = 60
     order: str = ROUND_ROBIN
     seed: int = 0
-    mode: str = EXACT
 
     def __post_init__(self):
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be at least 1")
         if self.order not in (ROUND_ROBIN, RANDOM_PERMUTATION):
             raise ValueError(f"unknown order {self.order!r}")
-        if self.mode not in (EXACT, STRUCTURAL):
-            raise ValueError(f"unknown mode {self.mode!r}")
 
 
 # ----------------------------------------------------------------------
@@ -108,15 +104,9 @@ def construct_independent(params: GameParams) -> StrategyProfile:
     """
     prof = _greedy_independent(params)
     try:
-        return best_response_dynamics(prof, params, _repair_config(params))
+        return best_response_dynamics(prof, params, DynamicsConfig())
     except NonConvergenceError:
         return prof
-
-
-def _repair_config(params: GameParams) -> DynamicsConfig:
-    """Round-robin repair of the greedy independent profile."""
-    mode = EXACT if params.n <= 16 else STRUCTURAL
-    return DynamicsConfig(max_rounds=60, order=ROUND_ROBIN, mode=mode)
 
 
 def _greedy_independent(params: GameParams) -> StrategyProfile:
@@ -229,14 +219,12 @@ def _build_collaborative(params: GameParams, i: int, j: int) -> StrategyProfile:
     return prof
 
 
-def construct_collaborative(
-    params: GameParams, i: int, j: int, mode: str = EXACT
-) -> StrategyProfile | None:
+def construct_collaborative(params: GameParams, i: int, j: int) -> StrategyProfile | None:
     """Two-player core with mutual links, each fully specialized in one good."""
     if not _core_links_pay(params, i, j)[1]:
         return None
     prof = _build_collaborative(params, i, j)
-    if verify_nash(prof, params, mode).classification == COLLABORATIVE:
+    if verify_nash(prof, params).classification == COLLABORATIVE:
         return prof
     return None
 
@@ -251,14 +239,14 @@ def _build_partially_collaborative(params: GameParams, a: int, b: int) -> Strate
 
 
 def construct_partially_collaborative(
-    params: GameParams, a: int, b: int, mode: str = EXACT
+    params: GameParams, a: int, b: int
 ) -> StrategyProfile | None:
     """Two-player core where only b sponsors: a provides its full autarky
     bundle, b free rides on a's x and tops up the y gap."""
     if not _core_links_pay(params, a, b)[0]:
         return None
     prof = _build_partially_collaborative(params, a, b)
-    if verify_nash(prof, params, mode).classification == PARTIALLY_COLLABORATIVE:
+    if verify_nash(prof, params).classification == PARTIALLY_COLLABORATIVE:
         return prof
     return None
 
@@ -392,10 +380,10 @@ def _nash_stable(
     """Exact Nash verdict for each contribution fixed point (G[r], X[r], Y[r])
     of a stack.
 
-    One-way, True where find_profitable_deviation(profile, params, EXACT) is
-    None: no player's best response over all link subsets, with the same
-    fewest-links tie-break, beats their current utility by more than
-    EPS_DEV.  Under two-way flow a player also reaches everyone who links to
+    One-way, True where find_profitable_deviation(profile, params) (exact at
+    these n) is None: no player's best response over all link subsets, with
+    the same fewest-links tie-break, beats their current utility by more
+    than EPS_DEV.  Under two-way flow a player also reaches everyone who links to
     them, free of charge, whichever links they buy.  At a fixed point each
     player's contributions top up what they reach, so their current utility
     is that of their current links among the subsets (to rounding).
@@ -526,11 +514,9 @@ def classify(profile: StrategyProfile) -> EquilibriumReport:
     return report(INDEPENDENT)
 
 
-def verify_nash(
-    profile: StrategyProfile, params: GameParams, mode: str = EXACT
-) -> EquilibriumReport:
+def verify_nash(profile: StrategyProfile, params: GameParams) -> EquilibriumReport:
     """Best-response check; classifies on success, witnesses on failure."""
-    deviation = find_profitable_deviation(profile, params, mode)
+    deviation = find_profitable_deviation(profile, params)
     report = classify(profile)
     if deviation is None:
         return report
@@ -557,11 +543,12 @@ def _dynamics(
     one seed share one stream: each draws once per round while live, so the
     round's draw is the one the row's own stream would give.  All live rows
     stand at the same (round, position) and look ahead over a window of
-    their next w positions: one kernel call and one ``utilities`` pass per
-    mode evaluate every entry against its row's current state, each reading
-    its own game.  The window ends at its earliest position where some row's
-    player improves, and every row's move there is applied; no row moved
-    before it, so each row replays its run bit for bit.  w doubles after a
+    their next w positions: one kernel call and one ``utilities`` pass
+    evaluate every entry against its row's current state, each reading its
+    own game, with the search ``best_response`` uses at this n.  The window
+    ends at its earliest position where some row's player improves, and
+    every row's move there is applied; no row moved before it, so each row
+    replays its run bit for bit.  w doubles after a
     window without a move, up to _KERNEL_CHUNK // (n x live rows), which
     bounds the window's state rows, and drops back to 1 after a move.  A row
     settles once a round changes nothing; a row still changing after
@@ -571,13 +558,12 @@ def _dynamics(
     index: dict[int, int] = {}
     game = np.array([index.setdefault(id(g), len(index)) for g in games])
     params = _GameStack.of(list({id(g): g for g in games}.values()))
-    n = params.n
+    n, search = params.n, _search(params.n)
     base = game * n  # parameter index of each row's player 0
     indeg = G.sum(axis=1)
     drawn = np.array([c.order == RANDOM_PERMUTATION for c in configs])
     seeds = np.array([c.seed for c in configs])
     streams = {s: np.random.Generator(np.random.PCG64(s)) for s in set(seeds[drawn].tolist())}
-    modes = np.array([c.mode for c in configs])
     budget = np.array([c.max_rounds for c in configs])
     settled = np.zeros(b, dtype=bool)
     live, width = np.arange(b), 1
@@ -588,29 +574,25 @@ def _dynamics(
         orders = np.tile(np.arange(n), (live.size, 1))
         for s in set(seeds[live[drawn[live]]].tolist()):
             orders[drawn[live] & (seeds[live] == s)] = streams[s].permutation(n)
-        groups = [(mode, modes[live] == mode) for mode in (EXACT, STRUCTURAL)]
-        groups = [(mode, live[sel], orders[sel]) for mode, sel in groups if sel.any()]
         changed, pos = np.zeros(b, dtype=bool), 0
         cap = max(1, _KERNEL_CHUNK // (n * live.size))
         while pos < n:
-            w, window = min(width, n - pos), []
-            for mode, rows, order in groups:
-                i, src = order[:, pos : pos + w].ravel(), np.repeat(rows, w)
-                who = base[src] + i
-                links, new_x, new_y, new_u = _responses(mode, who, src, X, Y, indeg, params)
-                better = new_u > utilities(params, who, X[src], Y[src], G[src, i]) + EPS_DEV
-                window.append((better.reshape(-1, w), i, src, links, new_x, new_y))
-            hit = np.any([better.any(axis=0) for better, *_ in window], axis=0)
+            w = min(width, n - pos)
+            i, src = orders[:, pos : pos + w].ravel(), np.repeat(live, w)
+            who = base[src] + i
+            links, new_x, new_y, new_u = _responses(search, who, src, X, Y, indeg, params)
+            better = new_u > utilities(params, who, X[src], Y[src], G[src, i]) + EPS_DEV
+            better = better.reshape(-1, w)
+            hit = better.any(axis=0)
             if not hit.any():
                 pos, width = pos + w, min(2 * width, cap)
                 continue
             q = int(np.argmax(hit))
-            for better, i, src, links, new_x, new_y in window:
-                idx = np.flatnonzero(better[:, q]) * w + q
-                moved, i = src[idx], i[idx]
-                indeg[moved] += links[idx] - G[moved, i]
-                G[moved, i], X[moved, i], Y[moved, i] = links[idx], new_x[idx], new_y[idx]
-                changed[moved] = True
+            idx = np.flatnonzero(better[:, q]) * w + q
+            moved, i = src[idx], i[idx]
+            indeg[moved] += links[idx] - G[moved, i]
+            G[moved, i], X[moved, i], Y[moved, i] = links[idx], new_x[idx], new_y[idx]
+            changed[moved] = True
             pos, width = pos + q + 1, 1
         settled[live[~changed[live]]] = True
         live = live[changed[live]]
@@ -675,26 +657,26 @@ def _starts(params: GameParams, greedy: StrategyProfile) -> tuple[np.ndarray, ..
             np.concatenate([np.zeros_like(G[:1]), G, greedy.g[None]]))
 
 
-def _candidates(games: list[GameParams], mode: str):
+def _candidates(games: list[GameParams]):
     """Each game's unverified candidates, game by game, tagged with the class
     a template needs.
 
     The tag is None for the empty profile, the independent construction and
     the dynamics results, which count whatever class they verify as.  The
     seeded dynamics starts and the repair of the greedy independent profile
-    (construct_independent, in its own mode) of every game run as one
+    (construct_independent) of every game run as one
     lockstep batch; a game's templates are built when its candidates are
     taken.
     """
     seeded = [
-        DynamicsConfig(max_rounds=60, order=RANDOM_PERMUTATION, seed=s, mode=mode)
+        DynamicsConfig(max_rounds=60, order=RANDOM_PERMUTATION, seed=s)
         for s in range(_DYNAMICS_STARTS)
     ]
     greedy = [_greedy_independent(params) for params in games]
     X, Y, G = (np.concatenate(part) for part in zip(*map(_starts, games, greedy)))
     per = _DYNAMICS_STARTS + 1  # rows per game: the seeded starts, then the repair
     done = _dynamics(X, Y, G, [p for p in games for _ in range(per)],
-                     [c for p in games for c in seeded + [_repair_config(p)]])
+                     [c for _ in games for c in seeded + [DynamicsConfig()]])
     for g, params in enumerate(games):
         *settled, repaired = (
             StrategyProfile(X[r].copy(), Y[r].copy(), G[r].copy()) if done[r] else None
@@ -719,7 +701,7 @@ def _candidates(games: list[GameParams], mode: str):
 
 
 def welfare_max_equilibria(
-    games: Iterable[GameParams], mode: str = EXACT
+    games: Iterable[GameParams]
 ) -> Iterator[tuple[StrategyProfile, EquilibriumReport]]:
     """``welfare_max_equilibrium`` of each game, yielded in order, for games
     on the same n players with the same benefit family (types, costs and k
@@ -739,13 +721,11 @@ def welfare_max_equilibria(
         group = [first, *itertools.islice(games, size - 1)]
         if any(g.n != first.n or g.benefit != first.benefit for g in group):
             raise ValueError("a family of games must share n and the benefit family")
-        for params, candidates in zip(group, _candidates(group, mode)):
-            yield _welfare_max(params, candidates, mode)
+        for params, candidates in zip(group, _candidates(group)):
+            yield _welfare_max(params, candidates)
 
 
-def welfare_max_equilibrium(
-    params: GameParams, mode: str = EXACT
-) -> tuple[StrategyProfile, EquilibriumReport]:
+def welfare_max_equilibrium(params: GameParams) -> tuple[StrategyProfile, EquilibriumReport]:
     """Best verified equilibrium from a structured candidate set.
 
     Candidates: the empty profile, the independent construction, two-player
@@ -764,11 +744,11 @@ def welfare_max_equilibrium(
 
     This is ``welfare_max_equilibria`` on a batch of one.
     """
-    return next(welfare_max_equilibria([params], mode))
+    return next(welfare_max_equilibria([params]))
 
 
 def _welfare_max(
-    params: GameParams, candidates: list[tuple[StrategyProfile, str | None]], mode: str
+    params: GameParams, candidates: list[tuple[StrategyProfile, str | None]]
 ) -> tuple[StrategyProfile, EquilibriumReport]:
     """The lazy verification and tie scan of welfare_max_equilibrium over
     one game's candidates."""
@@ -788,7 +768,7 @@ def _welfare_max(
     for top, members in ranked:
         if accepted and top < lowest - _WELFARE_TIE_TOL:
             break
-        report = verify_nash(candidates[members[0]][0], params, mode)
+        report = verify_nash(candidates[members[0]][0], params)
         if report.classification == NON_EQUILIBRIUM:
             continue
         first = next(

@@ -381,33 +381,24 @@ def perturbed_contributions(
 def _perturbed_best_utility(
     i: int, profile: StrategyProfile, params: GameParams, pert: PerturbationParams
 ) -> float:
-    """Best perturbed utility over i's link subsets, others held fixed."""
-    n = params.n
+    """Best perturbed utility over i's link subsets, others held fixed: i's
+    contributions re-solved against each subset, priced by utility_perturbed."""
+    n, t = params.n, params.types[i]
     cost = params.cost_vec[i] + pert.cost_shift(n)[i]
-    fee = params.k + pert.link_shift(n)[i]
     max_depth = 1 if pert.eps3 == 0.0 else n - 1
-    t = params.types[i]
-    spec = params.benefit
+    trial = profile.copy()
     best = -np.inf
     others = [j for j in range(n) if j != i]
     for r in range(len(others) + 1):
         for combo in itertools.combinations(others, r):
-            g2 = profile.g.copy()
-            g2[i, :] = 0
-            for j in combo:
-                g2[i, j] = 1
-            shells = _distance_shells(g2, i, max_depth)
+            trial.g[i] = 0
+            trial.g[i, list(combo)] = 1
+            shells = _distance_shells(trial.g, i, max_depth)
             sx = [profile.x[s] for s in shells]
             sy = [profile.y[s] for s in shells]
-            xi = _solve_good(t, cost, sx, pert, spec, params.x_hat[i])
-            yi = _solve_good(1.0 - t, cost, sy, pert, spec, params.y_hat[i])
-            agg_x = _ces_aggregate(xi, sx, pert)
-            agg_y = _ces_aggregate(yi, sy, pert)
-            with np.errstate(divide="ignore"):
-                bx = t * float(spec.value(agg_x)) if t > 0.0 else 0.0
-                by = (1.0 - t) * float(spec.value(agg_y)) if t < 1.0 else 0.0
-            u = bx + by - cost * (xi + yi) - fee * r
-            best = max(best, u)
+            trial.x[i] = _solve_good(t, cost, sx, pert, params.benefit, params.x_hat[i])
+            trial.y[i] = _solve_good(1.0 - t, cost, sy, pert, params.benefit, params.y_hat[i])
+            best = max(best, utility_perturbed(trial, i, params, pert))
     return best
 
 

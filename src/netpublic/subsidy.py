@@ -114,13 +114,9 @@ def _plan_vectors(params: GameParams, baseline_report, target_grid: int, level_g
 
 
 def _is_star_on(profile: StrategyProfile, m: int) -> bool:
-    n = profile.n
-    others = [i for i in range(n) if i != m]
-    if not all(profile.g[i, m] == 1 for i in others):
-        return False
-    return int(profile.in_degree()[m]) == n - 1 and set(
-        np.flatnonzero(profile.in_degree() >= 1)
-    ) == {m}
+    """Every other player links m, and nobody else receives a link."""
+    indeg = profile.in_degree()
+    return indeg[m] == profile.n - 1 and np.count_nonzero(indeg) == 1
 
 
 def planner(
@@ -128,7 +124,6 @@ def planner(
     budget: float,
     target_grid: int = 8,
     level_grid: int = 20,
-    mode: str = "exact",
 ) -> tuple[SubsidyPlan, StrategyProfile, str]:
     """Welfare-best feasible subsidy plan under the stated budget.
 
@@ -136,7 +131,7 @@ def planner(
     """
     if not (math.isfinite(budget) and budget >= 0):
         raise ValueError("budget must be finite and non-negative")
-    base_prof, base_report = welfare_max_equilibrium(params, mode)
+    base_prof, base_report = welfare_max_equilibrium(params)
     if budget == 0:
         plan = SubsidyPlan(np.zeros(params.n), 0.0, 0.0)
         return plan, base_prof, EXISTING_CONTRIBUTORS
@@ -153,7 +148,7 @@ def planner(
             yield trial
 
     best = None  # (welfare, spent, plan, profile)
-    for prof, _ in welfare_max_equilibria(trials(), mode):
+    for prof, _ in welfare_max_equilibria(trials()):
         v, trial = pending.popleft()
         spent = budget_spent(v, prof)
         if spent > budget + _BUDGET_SLACK:

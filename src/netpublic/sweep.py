@@ -55,12 +55,7 @@ def _record_for(k: float, profile: StrategyProfile, report, params: GameParams) 
     )
 
 
-def sweep_k(
-    params: GameParams,
-    k_grid,
-    mode: str = "structural",
-    return_profiles: bool = False,
-):
+def sweep_k(params: GameParams, k_grid, return_profiles: bool = False):
     """Welfare-maximal equilibrium at each linking cost on a fixed society,
     every k solved in one batch."""
     k_grid = [float(k) for k in k_grid]
@@ -69,7 +64,7 @@ def sweep_k(
     records: list[SweepRecord] = []
     profiles: list[StrategyProfile] = []
     games = [params.with_k(k) for k in k_grid]
-    for k, game, (prof, report) in zip(k_grid, games, welfare_max_equilibria(games, mode)):
+    for k, game, (prof, report) in zip(k_grid, games, welfare_max_equilibria(games)):
         records.append(_record_for(k, prof, report, game))
         profiles.append(prof)
     if return_profiles:

@@ -73,7 +73,7 @@ def _ensure_criterion1():
         params = GameParams(types, c, k, spec)
         built = npub.construct_independent(params)
         worst = max(worst, _floor_gap(built, params))
-        prof, report = npub.welfare_max_equilibrium(params, "structural")
+        prof, report = npub.welfare_max_equilibrium(params)
         worst = max(worst, _floor_gap(prof, params))
         reports.append(report)
     _CACHE["c1"] = (worst, reports)
@@ -120,7 +120,7 @@ def _ensure_criterion2():
             failures.append((idx, "oracle empty"))
             continue
         for prof in oracle:
-            report = npub.verify_nash(prof, params, "exact")
+            report = npub.verify_nash(prof, params)
             if report.classification == "NonEquilibrium":
                 failures.append((idx, "oracle member failed re-verification"))
             reports.append(report)
@@ -136,7 +136,7 @@ def _ensure_criterion2():
         if not in_oracle:
             failures.append((idx, "constructed profile missing from oracle set"))
         best = max(welfare(e, params)[0] for e in oracle)
-        prof, _ = npub.welfare_max_equilibrium(params, "exact")
+        prof, _ = npub.welfare_max_equilibrium(params)
         got = welfare(prof, params)[0]
         if abs(got - best) > 1e-8:
             failures.append((idx, f"welfare gap {got - best:.3e}"))
@@ -177,7 +177,7 @@ def _ensure_regime_profiles():
     for k in (0.5, 0.98, 0.994):
         params = GameParams(types, 1.0, k, BenefitSpec.log())
         prof = npub.construct_independent(params)
-        out[k] = (prof, npub.verify_nash(prof, params, "structural"))
+        out[k] = (prof, npub.verify_nash(prof, params))
     _CACHE["c4"] = out
     return out
 
@@ -213,7 +213,7 @@ def test_criterion_5_welfare_polarization_non_monotonicity():
     with criterion(5, "k-grid welfare rise-then-fall with polarization dip", 300.0):
         types = npub.sample_types(TruncNormal(0.5, 1.0), 300, seed=11)
         params = GameParams(types, 1e-5, 0.676, BenefitSpec.power(0.15))
-        records = npub.sweep_k(params, [0.676, 0.677, 0.78, 0.82], mode="structural")
+        records = npub.sweep_k(params, [0.676, 0.677, 0.78, 0.82])
         by_k = {r.k: r for r in records}
         w = {k: by_k[k].welfare_avg for k in by_k}
         rho = {k: by_k[k].polarization for k in by_k}
@@ -242,15 +242,15 @@ def test_criterion_7_subsidy_regimes():
     with criterion(7, "small budgets boost contributors, large budgets build a star", 300.0):
         types = npub.sample_types(UNIFORM, 10, seed=24)
         params = GameParams(types, 1.0, 0.9, BenefitSpec.log())
-        base, report = npub.welfare_max_equilibrium(params, "exact")
+        base, report = npub.welfare_max_equilibrium(params)
         provision_cost = float(params.cost_vec @ (base.x + base.y))
 
-        plan, _, _ = npub.planner(params, 0.05 * provision_cost, mode="exact")
+        plan, _, _ = npub.planner(params, 0.05 * provision_cost)
         assert set(plan.recipients()) <= set(report.contributors), (
             f"recipients {plan.recipients()} not within {report.contributors}"
         )
 
-        plan, prof, regime = npub.planner(params, 5.0 * provision_cost, mode="exact")
+        plan, prof, regime = npub.planner(params, 5.0 * provision_cost)
         assert regime == "Star", regime
         (hub,) = plan.recipients()
         assert abs(params.types[hub] - params.types.mean()) <= 0.15

@@ -11,6 +11,7 @@ from netpublic import (
     DELETE,
     EPS_DEV,
     BenefitSpec,
+    BestResponse,
     Deviation,
     GameParams,
     StrategyProfile,
@@ -19,9 +20,7 @@ from netpublic import (
     find_profitable_deviation,
     gains_from_link,
     optimal_contributions,
-    sample_types,
     utility,
-    UNIFORM,
 )
 from netpublic.best_response import (
     _KERNEL_CHUNK,
@@ -118,7 +117,7 @@ def test_best_response_isolation_when_links_too_dear():
     prof = StrategyProfile.isolated(params)
     prof.x[:] = 0.0
     prof.y[:] = 0.0
-    br = best_response(1, prof, params, "exact")
+    br = best_response(1, prof, params)
     assert br.links == ()
     assert (br.x, br.y) == (0.5, 0.5)
 
@@ -128,7 +127,7 @@ def test_best_response_links_both_specialists():
     prof = StrategyProfile.isolated(params)
     prof.x[0], prof.y[0] = 0.0, 1.0
     prof.x[2], prof.y[2] = 1.0, 0.0
-    br = best_response(1, prof, params, "exact")
+    br = best_response(1, prof, params)
     assert br.links == (0, 2)
     assert (br.x, br.y) == (0.0, 0.0)
     assert br.utility == pytest.approx(-1.0, abs=1e-12)
@@ -140,7 +139,7 @@ def test_best_response_satisfies_consumption_floor(rng):
         params = random_scenario(rng, 6)
         prof = StrategyProfile.isolated(params)
         for i in range(6):
-            br = best_response(i, prof, params, "exact")
+            br = best_response(i, prof, params)
             x_bar = float(prof.x[list(br.links)].sum())
             y_bar = float(prof.y[list(br.links)].sum())
             assert br.x + x_bar >= params.x_hat[i] - 1e-9
@@ -155,13 +154,21 @@ def test_best_response_beats_random_alternatives(rng):
     params = random_scenario(rng, 7)
     prof = StrategyProfile.isolated(params)
     prof.x[3], prof.y[3] = 1.0, 1.0
-    br = best_response(2, prof, params, "exact")
+    br = best_response(2, prof, params)
     trial = prof.copy()
     for _ in range(100):
         targets = [j for j in range(7) if j != 2 and rng.random() < 0.4]
         xi, yi = rng.uniform(0.0, 2.0, size=2)
         trial.set_strategy(2, targets, float(xi), float(yi))
         assert utility(trial, 2, params) <= br.utility + 1e-9
+
+
+def _pinned_response(mode, i, profile, params):
+    """best_response with the kernel's search pinned to mode at any n."""
+    state = profile.x[None], profile.y[None], profile.in_degree()[None]
+    links, x, y, u = _responses(mode, np.array([i]), np.array([0]), *state, params)
+    return BestResponse(tuple(np.flatnonzero(links[0]).tolist()), float(x[0]), float(y[0]),
+                        float(u[0]))
 
 
 def test_structural_mode_tracks_exact(rng):
@@ -171,12 +178,12 @@ def test_structural_mode_tracks_exact(rng):
         prof = StrategyProfile.isolated(params)
         # realistic state: one greedy pass of exact responses
         for i in range(params.n):
-            br = best_response(i, prof, params, "exact")
+            br = _pinned_response("exact", i, prof, params)
             if br.utility > utility(prof, i, params):
                 prof.set_strategy(i, br.links, br.x, br.y)
         for i in range(params.n):
-            exact = best_response(i, prof, params, "exact")
-            struct = best_response(i, prof, params, "structural")
+            exact = _pinned_response("exact", i, prof, params)
+            struct = _pinned_response("structural", i, prof, params)
             assert struct.utility <= exact.utility + 1e-9
             total += 1
             if abs(struct.utility - exact.utility) <= 1e-9:
@@ -229,14 +236,6 @@ def test_structural_candidates_match_reference(rng):
     assert kept > 1000 and dropped > 1000
 
 
-def test_exact_mode_rejects_large_games():
-    types = sample_types(UNIFORM, 17, seed=1)
-    params = GameParams(types, 1.0, 0.4, BenefitSpec.log())
-    prof = StrategyProfile.isolated(params)
-    with pytest.raises(ValueError):
-        best_response(0, prof, params, "exact")
-
-
 def test_batched_best_response_chunks_match_single_rows(rng):
     # at k = 1e-3 every opponent who provides anything is a candidate: at
     # n = 13 a pass holds about two rows and at n = 16 one row, so the rows
@@ -256,18 +255,16 @@ def test_batched_best_response_chunks_match_single_rows(rng):
         want = unpruned_exact_responses(players, X, Y, params)
         for r in range(b):
             prof = StrategyProfile(X[r], Y[r], np.zeros((n, n)))
-            br = best_response(int(players[r]), prof, params, "exact")
+            br = _pinned_response("exact", int(players[r]), prof, params)
             assert tuple(np.flatnonzero(links[r]).tolist()) == br.links
             assert (x[r], y[r], util[r]) == (br.x, br.y, br.utility)
+            if n == 13:  # where best_response is exact too
+                assert best_response(int(players[r]), prof, params) == br
         # the kernel before pruning summed subsets as a product, so only
         # the last bit of a utility may differ
         assert np.array_equal(links, want[0])
         assert np.array_equal(x, want[1]) and np.array_equal(y, want[2])
         assert util == pytest.approx(want[3], rel=1e-12)
-    params = random_scenario(rng, 17)
-    with pytest.raises(ValueError):
-        _responses("exact", np.array([0]), np.array([0]), params.x_hat[None],
-                   params.y_hat[None], np.zeros((1, 17), dtype=int), params)
 
 
 def test_structural_kernel_chunks_match_single_rows(rng):
@@ -313,7 +310,7 @@ def test_best_response_tie_band_prefers_fewer_links():
             lo, hi = (mid, hi) if margin(mid) > target else (lo, mid)
         params = base.with_k(lo)
         assert abs(margin(lo) - target) < 0.1 * EPS_DEV
-        br = best_response(1, prof, params, "exact")
+        br = best_response(1, prof, params)
         links, x, y, util = unpruned_exact_responses(np.array([1]), prof.x[None], prof.y[None],
                                                      params)
         assert (br.links == ()) is want_empty
@@ -326,13 +323,13 @@ def test_no_deviation_from_constructed_equilibrium(rng):
     for _ in range(10):
         params = random_scenario(rng, 6)
         prof = construct_independent(params)
-        assert find_profitable_deviation(prof, params, "exact") is None
+        assert find_profitable_deviation(prof, params) is None
 
 
 def test_deviation_found_when_links_are_cheap():
     params = _params([0.0, 0.5, 1.0], k=0.01)
     prof = StrategyProfile.isolated(params)
-    dev = find_profitable_deviation(prof, params, "exact")
+    dev = find_profitable_deviation(prof, params)
     assert dev is not None
     assert dev.new_links
 
@@ -342,7 +339,7 @@ def test_deviation_found_for_zero_contributions():
     prof = StrategyProfile.isolated(params)
     prof.x[:] = 0.0
     prof.y[:] = 0.0
-    dev = find_profitable_deviation(prof, params, "exact")
+    dev = find_profitable_deviation(prof, params)
     assert dev is not None
     assert dev.player == 0
     assert dev.new_links == ()
@@ -351,10 +348,10 @@ def test_deviation_found_for_zero_contributions():
 
 def _deviation_reference(profile, params, mode):
     """The per-player loop find_profitable_deviation ran before it searched
-    every player in one kernel call."""
+    every player in one kernel call, with the search pinned to mode."""
     for i in range(params.n):
         current = utility(profile, i, params)
-        br = best_response(i, profile, params, mode)
+        br = _pinned_response(mode, i, profile, params)
         if br.utility > current + EPS_DEV:
             return Deviation(i, br.links, br.x, br.y, br.utility - current)
     return None
@@ -364,8 +361,10 @@ def _deviation_reference(profile, params, mode):
 @pytest.mark.parametrize("mode", ["exact", "structural"])
 def test_batched_deviation_search_matches_per_player_loop(rng, monkeypatch, mode, chunk):
     # at chunk 64 the players are searched in blocks of 64 // n, and the
-    # search stops at the first block with a deviator
+    # search stops at the first block with a deviator; the search is exact
+    # up to the largest n with 2^(n - 1) <= chunk and structural above it
     monkeypatch.setattr(br_module, "_KERNEL_CHUNK", chunk)
+    switch = chunk.bit_length()
     real, calls = br_module._responses, []
 
     def counting(*args):
@@ -374,7 +373,8 @@ def test_batched_deviation_search_matches_per_player_loop(rng, monkeypatch, mode
 
     later = 0
     for trial in range(30):
-        n = int(rng.integers(3, 13 if mode == "exact" else 60))
+        n = int(rng.integers(3, switch + 1) if mode == "exact" else rng.integers(switch + 1, 60))
+        assert br_module._search(n) == mode
         params = random_scenario(rng, n)
         if trial % 3 == 2:
             g = (rng.random((n, n)) < rng.choice([0.05, 0.2, 0.5])).astype(np.int8)
@@ -393,10 +393,37 @@ def test_batched_deviation_search_matches_per_player_loop(rng, monkeypatch, mode
         want = _deviation_reference(prof, params, mode)
         calls.clear()
         monkeypatch.setattr(br_module, "_responses", counting)
-        assert find_profitable_deviation(prof, params, mode) == want, trial
+        assert find_profitable_deviation(prof, params) == want, trial
         monkeypatch.setattr(br_module, "_responses", real)
         step = max(1, chunk // n)
         searched = n if want is None else (want.player // step + 1) * step
         assert sum(calls) == min(searched, n) and max(calls) <= step, trial
         later += want is not None and want.player > 0
     assert later >= 5
+
+
+@pytest.mark.parametrize("n,search", [(14, "exact"), (15, "structural")])
+def test_search_is_exact_up_to_n_14_and_structural_above(rng, n, search):
+    # n = 14 is the last n whose 2^(n - 1) opponent subsets fit one kernel
+    # pass.  Cheap links against many small providers make exact responses
+    # take four or more links, out of the structural search's reach, so the
+    # two kernels disagree and the public calls must match the right one.
+    other = {"exact": "structural", "structural": "exact"}[search]
+    disagree = deviating = 0
+    for trial in range(4):
+        params = random_scenario(rng, n).with_k(1e-3)
+        if trial % 2:
+            prof = construct_independent(params)
+        else:
+            g = (rng.random((n, n)) < 0.1).astype(np.int8)
+            np.fill_diagonal(g, 0)
+            prof = StrategyProfile(params.x_hat * rng.uniform(0.0, 0.3, n),
+                                   params.y_hat * rng.uniform(0.0, 0.3, n), g)
+        for i in range(n):
+            br = best_response(i, prof, params)
+            assert br == _pinned_response(search, i, prof, params), (trial, i)
+            disagree += br != _pinned_response(other, i, prof, params)
+        want = _deviation_reference(prof, params, search)
+        assert find_profitable_deviation(prof, params) == want, trial
+        deviating += want is not None
+    assert disagree > 0 and deviating > 0

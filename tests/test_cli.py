@@ -85,6 +85,32 @@ def test_solve_empty_record_csv_row(tmp_path):
     float(fields[3]), float(fields[4])  # welfare fields present and numeric
 
 
+def test_mode_is_accepted_and_selects_nothing(tmp_path):
+    # the search follows from n: at n = 20 "exact" solves as "structural"
+    # does, byte for byte, and so does --mode; an unknown mode is still a
+    # config error
+    written = []
+    for mode in ("exact", "structural", None):
+        cfg = _base_config(n=20, k=0.5)
+        if mode is None:
+            del cfg["mode"]
+        out = tmp_path / f"{mode}.json"
+        cfg["output"]["path"] = str(out)
+        assert main(["--config", _write(tmp_path / f"{mode}-c.json", cfg)]) == 0
+        written.append(out.read_bytes())
+    out = tmp_path / "flag.json"
+    assert main(["--config", str(tmp_path / "structural-c.json"), "--out", str(out),
+                 "--mode", "exact"]) == 0
+    written.append(out.read_bytes())
+    assert all(w == written[0] for w in written)
+    cfg = _base_config(n=20, k=0.5, mode="fast")
+    cfg["output"]["path"] = str(tmp_path / "fast.json")
+    assert main(["--config", _write(tmp_path / "fast-c.json", cfg)]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(tmp_path / "exact-c.json"), "--mode", "fast"])
+    assert exc.value.code == 2
+
+
 def test_sweep_csv_columns_and_determinism(tmp_path):
     cfg = _base_config(command="sweep_k", n=20, mode="structural")
     del cfg["k"]

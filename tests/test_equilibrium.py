@@ -354,9 +354,23 @@ def test_empty_profile_is_nash_above_threshold():
     types = sample_types(UNIFORM, 30, seed=2)
     probe = GameParams(types, 1.0, 1.0, BenefitSpec.log())
     params = probe.with_k(k_tilde(probe) + 0.01)
-    report = verify_nash(StrategyProfile.isolated(params), params, "exact" if params.n <= 16 else "structural")
+    report = verify_nash(StrategyProfile.isolated(params), params)
     assert report.classification == "Empty"
     assert not report.violations
+
+
+def test_welfare_max_and_verify_nash_take_no_search_argument_at_n_20():
+    # the search follows from n: at n = 20 it is structural, where the
+    # exact default these calls once had raised ValueError above n = 16
+    probe = GameParams(sample_types(UNIFORM, 20, seed=3), 1.0, 1.0, BenefitSpec.log())
+    params = probe.with_k(0.5 * k_tilde(probe))
+    prof, report = welfare_max_equilibrium(params)
+    assert report.classification in ("Independent", "Collaborative", "PartiallyCollaborative")
+    again = verify_nash(prof, params)
+    assert (again.classification, again.contributors) == (report.classification,
+                                                          report.contributors)
+    below = verify_nash(StrategyProfile.isolated(params), params)
+    assert below.classification == "NonEquilibrium" and below.violations
 
 
 # ----------------------------------------------------------------------
@@ -375,7 +389,7 @@ def test_construct_independent_low_cost_two_extreme_contributors():
     types = sample_types(UNIFORM, 200, seed=7)
     params = GameParams(types, 1.0, 0.5, BenefitSpec.log())
     prof = construct_independent(params)
-    report = verify_nash(prof, params, "structural")
+    report = verify_nash(prof, params)
     assert report.classification == "Independent"
     assert report.contributors == (0, 199)
     assert not report.isolated
@@ -385,7 +399,7 @@ def test_construct_independent_intermediate_cost_many_contributors():
     types = sample_types(UNIFORM, 200, seed=7)
     params = GameParams(types, 1.0, 0.98, BenefitSpec.log())
     prof = construct_independent(params)
-    report = verify_nash(prof, params, "structural")
+    report = verify_nash(prof, params)
     assert report.classification == "Independent"
     assert len(report.contributors) >= 3
     # disjoint neighborhoods: every sponsor carries exactly one link
@@ -398,7 +412,7 @@ def test_construct_independent_is_nash_across_scenarios(rng):
     for _ in range(15):
         params = random_scenario(rng, int(rng.integers(4, 13)))
         prof = construct_independent(params)
-        assert find_profitable_deviation(prof, params, "exact") is None
+        assert find_profitable_deviation(prof, params) is None
 
 
 # ----------------------------------------------------------------------
@@ -414,14 +428,14 @@ def test_collaborative_template_moderate_pair_exists():
     types = np.linspace(0.0, 1.0, 21)
     params = GameParams(types, 1.0, 0.4, BenefitSpec.log())
     built = [
-        construct_collaborative(params, i, j, "structural")
+        construct_collaborative(params, i, j)
         for i in (11, 12, 13, 14, 15)
         for j in (5, 6, 7, 8, 9)
     ]
     profiles = [p for p in built if p is not None]
     assert profiles, "no collaborative equilibrium found at the reference parameters"
     for prof in profiles:
-        rep = verify_nash(prof, params, "structural")
+        rep = verify_nash(prof, params)
         assert rep.classification == "Collaborative"
         assert len(rep.contributors) == 2
 
@@ -437,14 +451,14 @@ def test_partially_collaborative_template_exists_and_has_no_isolated():
     found = None
     for a in range(14, 18):
         for b in range(3, 7):
-            prof = construct_partially_collaborative(params, a, b, "structural")
+            prof = construct_partially_collaborative(params, a, b)
             if prof is not None:
                 found = prof
                 break
         if found is not None:
             break
     assert found is not None
-    rep = verify_nash(found, params, "structural")
+    rep = verify_nash(found, params)
     assert rep.classification == "PartiallyCollaborative"
     assert len(rep.contributors) == 2
     assert not rep.isolated  # collaborative cores leave nobody isolated
@@ -569,7 +583,7 @@ def test_fixed_point_mutual_moderates_satisfies_floor():
 
 def test_verify_nash_flags_empty_profile_below_threshold():
     params = _params([0.0, 0.5, 1.0], k=0.3)
-    report = verify_nash(StrategyProfile.isolated(params), params, "exact")
+    report = verify_nash(StrategyProfile.isolated(params), params)
     assert report.classification == "NonEquilibrium"
     assert report.violations
 
@@ -578,7 +592,7 @@ def test_verify_nash_flags_consumption_floor_violation():
     params = _params([0.0, 0.5, 1.0], k=5.0)
     prof = StrategyProfile.isolated(params)
     prof.x[1] = 0.1  # below autarky demand
-    report = verify_nash(prof, params, "exact")
+    report = verify_nash(prof, params)
     assert report.classification == "NonEquilibrium"
 
 
@@ -612,19 +626,17 @@ def test_classify_partition():
 # dynamics and the welfare-maximal equilibrium
 # ----------------------------------------------------------------------
 
-def test_dynamics_config_rejects_unknown_order_and_mode():
+def test_dynamics_config_rejects_unknown_order():
     with pytest.raises(ValueError, match="order"):
         DynamicsConfig(order="randm_permutation")
-    with pytest.raises(ValueError, match="mode"):
-        DynamicsConfig(mode="structral")
     with pytest.raises(ValueError, match="max_rounds"):
         DynamicsConfig(max_rounds=0)
 
 
 def test_dynamics_fixed_at_nash():
     params = _params([0.0, 0.5, 1.0], k=0.3)
-    prof, _ = welfare_max_equilibrium(params, "exact")
-    out = best_response_dynamics(prof, params, DynamicsConfig(mode="exact"))
+    prof, _ = welfare_max_equilibrium(params)
+    out = best_response_dynamics(prof, params, DynamicsConfig())
     assert np.array_equal(out.g, prof.g)
     assert np.allclose(out.x, prof.x, atol=1e-12)
 
@@ -634,10 +646,10 @@ def test_dynamics_from_empty_reaches_nash(rng):
         params = random_scenario(rng, 8, k_span=(0.05, 0.9))
         out = best_response_dynamics(
             StrategyProfile.isolated(params), params,
-            DynamicsConfig(order="random_permutation", seed=1, mode="exact"),
+            DynamicsConfig(order="random_permutation", seed=1),
         )
         assert out.g.sum() > 0
-        assert find_profitable_deviation(out, params, "exact") is None
+        assert find_profitable_deviation(out, params) is None
 
 
 def test_dynamics_seeds_may_disagree_but_both_verify():
@@ -647,9 +659,9 @@ def test_dynamics_seeds_may_disagree_but_both_verify():
     for seed in (3, 4):
         out = best_response_dynamics(
             StrategyProfile.isolated(params), params,
-            DynamicsConfig(order="random_permutation", seed=seed, mode="exact"),
+            DynamicsConfig(order="random_permutation", seed=seed),
         )
-        assert find_profitable_deviation(out, params, "exact") is None
+        assert find_profitable_deviation(out, params) is None
         outs.append(out)
     # multiplicity is allowed; stability of both is what matters
     assert all(o.g.sum() > 0 for o in outs)
@@ -669,7 +681,7 @@ def _dynamics_reference(start, params, config):
         for i in order:
             i = int(i)
             current = utility(prof, i, params)
-            br = best_response(i, prof, params, config.mode)
+            br = best_response(i, prof, params)
             if br.utility > current + EPS_DEV:
                 prof.set_strategy(i, br.links, br.x, br.y)
                 changed = True
@@ -679,8 +691,8 @@ def _dynamics_reference(start, params, config):
 
 
 def _dynamics_games():
-    """18 seeded games: exact mode at n = 3..12 and structural mode at
-    n = 17..40, the three families in rotation."""
+    """18 seeded games, the three families in rotation: n = 3..12, where the
+    search is exact, and n = 17..40, where it is structural."""
     rng = np.random.default_rng(20261019)
     games = []
     for idx in range(18):
@@ -721,9 +733,7 @@ def _assert_same_runs(got, want):
 @pytest.mark.parametrize("game", range(18))
 def test_lockstep_dynamics_matches_sequential(game):
     params = _dynamics_games()[game]
-    # up to n = 12 structural rows run in the same batch as exact rows, from
     # starts whose receiver counts range from none to most players
-    modes = ("exact", "structural") if params.n <= 12 else ("structural",)
     anchored = _anchored_profiles(params)
     starts = [
         StrategyProfile.isolated(params),
@@ -734,25 +744,20 @@ def test_lockstep_dynamics_matches_sequential(game):
         _dense_start(params),
     ]
     batch, configs = [], []
-    for mode in modes:
-        for s, start in enumerate(starts):
-            for order in ("round_robin", "random_permutation"):
-                batch.append(start)
-                configs.append(DynamicsConfig(max_rounds=60, order=order, seed=s, mode=mode))
-    # one-round budgets in every mode: every start that moves at all runs out
-    empty_one_round = []
-    for mode in modes:
-        for s in (0, 4):
-            if s == 0:
-                empty_one_round.append(len(batch))
-            batch.append(starts[s])
-            configs.append(DynamicsConfig(max_rounds=1, order="random_permutation", seed=s,
-                                          mode=mode))
+    for s, start in enumerate(starts):
+        for order in ("round_robin", "random_permutation"):
+            batch.append(start)
+            configs.append(DynamicsConfig(max_rounds=60, order=order, seed=s))
+    # one-round budgets: every start that moves at all runs out
+    empty_one_round = len(batch)
+    for s in (0, 4):
+        batch.append(starts[s])
+        configs.append(DynamicsConfig(max_rounds=1, order="random_permutation", seed=s))
     got = _run_dynamics(batch, [params] * len(batch), configs)
     want = [_dynamics_reference(start, params, config) for start, config in zip(batch, configs)]
     _assert_same_runs(got, want)
     # below the threshold someone links from the empty network
-    assert all(want[r] is None for r in empty_one_round)
+    assert want[empty_one_round] is None
     for start, config, w in zip(batch, configs, want):
         if w is None:
             with pytest.raises(NonConvergenceError):
@@ -762,16 +767,13 @@ def test_lockstep_dynamics_matches_sequential(game):
     # the batch works on copies
     assert starts[0].g.sum() == 0 and np.array_equal(starts[0].x, params.x_hat)
 
-    # rows at an equilibrium of their mode next to isolated rows, modes mixed:
-    # the settled rows' windows end wherever the isolated rows' players move
-    settled = [want[m * 12] for m in range(len(modes))]
+    # a row at an equilibrium next to an isolated row: the settled row's
+    # windows end wherever the isolated row's players move
     batch, configs = [], []
-    for m, mode in enumerate(modes):
-        other = modes[-1 - m]
-        if settled[m] is not None:
-            batch += [settled[m], StrategyProfile.isolated(params)]
-            configs += [DynamicsConfig(max_rounds=60, order="random_permutation", seed=5, mode=mode),
-                        DynamicsConfig(max_rounds=60, order="round_robin", mode=other)]
+    if want[0] is not None:
+        batch += [want[0], StrategyProfile.isolated(params)]
+        configs += [DynamicsConfig(max_rounds=60, order="random_permutation", seed=5),
+                    DynamicsConfig(max_rounds=60, order="round_robin")]
     got = _run_dynamics(batch, [params] * len(batch), configs)
     want = [_dynamics_reference(start, params, config) for start, config in zip(batch, configs)]
     _assert_same_runs(got, want)
@@ -786,13 +788,12 @@ def test_lockstep_dynamics_matches_sequential(game):
     other = other.with_k(0.8 * params.k)
     batch, games, configs = [], [], []
     for game_params in (params, other):
-        for mode in modes:
-            for start in (StrategyProfile.isolated(game_params), _dense_start(game_params)):
-                for seed in (0, 1):
-                    batch.append(start)
-                    games.append(game_params)
-                    configs.append(DynamicsConfig(max_rounds=60, order="random_permutation",
-                                                  seed=seed, mode=mode))
+        for start in (StrategyProfile.isolated(game_params), _dense_start(game_params)):
+            for seed in (0, 1):
+                batch.append(start)
+                games.append(game_params)
+                configs.append(DynamicsConfig(max_rounds=60, order="random_permutation",
+                                              seed=seed))
     got = _run_dynamics(batch, games, configs)
     want = [_dynamics_reference(start, game_params, config)
             for start, game_params, config in zip(batch, games, configs)]
@@ -808,8 +809,7 @@ def test_settled_row_confirms_in_logarithmic_kernel_calls(monkeypatch, game):
     # windows of width 1, 2, 4, ... cover a round without a move in
     # ceil(log2(n + 1)) kernel calls, where a step per position takes n
     params = _dynamics_games()[game]
-    mode = "exact" if params.n <= 12 else "structural"
-    config = DynamicsConfig(max_rounds=60, order="random_permutation", seed=2, mode=mode)
+    config = DynamicsConfig(max_rounds=60, order="random_permutation", seed=2)
     settled = best_response_dynamics(StrategyProfile.isolated(params), params, config)
     calls = []
     real = eq._responses
@@ -825,24 +825,31 @@ def test_settled_row_confirms_in_logarithmic_kernel_calls(monkeypatch, game):
     assert sum(calls) == params.n
 
 
-@pytest.mark.parametrize("mode", ["exact", "structural"])
-def test_independent_repair_joins_the_dynamics_batch(monkeypatch, mode):
+@pytest.mark.parametrize("game,search", [(7, "exact"), (10, "structural")],
+                         ids=["exact", "structural"])
+def test_independent_repair_joins_the_dynamics_batch(monkeypatch, game, search):
     # one _dynamics call covers the seeded starts and the repair of the
-    # greedy independent profile, which at n <= 16 runs in exact mode
-    # whatever the mode of the starts
-    params = _dynamics_games()[7]
-    assert params.n <= 16
-    calls = []
-    real = eq._dynamics
+    # greedy independent profile, and every kernel call of it runs the
+    # search that n picks: exact at n = 10, structural at n = 17
+    params = _dynamics_games()[game]
+    assert params.n == {"exact": 10, "structural": 17}[search]
+    calls, searches = [], set()
+    real, real_responses = eq._dynamics, eq._responses
 
     def counting(X, Y, G, games, configs):
-        calls.append([(c.order, c.mode) for c in configs])
+        calls.append([(c.order, c.seed) for c in configs])
         return real(X, Y, G, games, configs)
 
+    def recording(mode, *args):
+        searches.add(mode)
+        return real_responses(mode, *args)
+
     monkeypatch.setattr(eq, "_dynamics", counting)
-    candidates = next(eq._candidates([params], mode))
-    starts = [("random_permutation", mode)] * eq._DYNAMICS_STARTS
-    assert calls == [starts + [("round_robin", "exact")]]
+    monkeypatch.setattr(eq, "_responses", recording)
+    candidates = next(eq._candidates([params]))
+    starts = [("random_permutation", s) for s in range(eq._DYNAMICS_STARTS)]
+    assert calls == [starts + [("round_robin", 0)]]
+    assert searches == {search}
     monkeypatch.undo()
     assert candidates[1][0].g.tobytes() == construct_independent(params).g.tobytes()
     assert candidates[1][0].x.tobytes() == construct_independent(params).x.tobytes()
@@ -853,13 +860,13 @@ def test_game_batch_rejects_mixed_sizes_and_families():
     for other in (GameParams(np.linspace(0.0, 1.0, 6), 1.0, 0.3, BenefitSpec.log()),
                   GameParams(np.linspace(0.0, 1.0, 5), 1.0, 0.3, BenefitSpec.sqrt())):
         with pytest.raises(ValueError, match="share n and the benefit family"):
-            list(welfare_max_equilibria([log5, other], "exact"))
-    assert list(welfare_max_equilibria([], "exact")) == []
+            list(welfare_max_equilibria([log5, other]))
+    assert list(welfare_max_equilibria([])) == []
 
 
 def test_welfare_max_above_threshold_returns_empty():
     params = _params([0.0, 0.3, 0.7, 1.0], k=3.0)
-    prof, report = welfare_max_equilibrium(params, "exact")
+    prof, report = welfare_max_equilibrium(params)
     assert report.classification == "Empty"
     assert prof.g.sum() == 0
 
@@ -870,7 +877,7 @@ def test_welfare_max_matches_oracle_small(rng):
         eqs = brute_force_equilibria(params)
         assert eqs, "oracle found no equilibrium"
         best = max(welfare(e, params)[0] for e in eqs)
-        prof, _ = welfare_max_equilibrium(params, "exact")
+        prof, _ = welfare_max_equilibrium(params)
         assert welfare(prof, params)[0] == pytest.approx(best, abs=1e-8)
 
 
@@ -890,7 +897,7 @@ def test_brute_force_small_log_game():
     eqs = brute_force_equilibria(params)
     assert eqs
     for prof in eqs:
-        report = verify_nash(prof, params, "exact")
+        report = verify_nash(prof, params)
         assert report.classification != "NonEquilibrium"
         assert report.classification != "StructureViolation"
 
@@ -987,7 +994,7 @@ def _brute_force_reference(params):
         if status != _CONVERGED:
             continue
         prof = StrategyProfile(x, y, g)
-        if find_profitable_deviation(prof, params, "exact") is None:
+        if find_profitable_deviation(prof, params) is None:
             out.append(prof)
     return out
 
@@ -1103,7 +1110,7 @@ def test_brute_force_profiles_share_no_memory():
 # lazy verification against the eager scan
 # ----------------------------------------------------------------------
 
-def _eager_scan(candidates, params, mode):
+def _eager_scan(candidates, params):
     """Verify every candidate in order; ties to Independent, then fewer contributors."""
     best = None
     seen = set()
@@ -1112,7 +1119,7 @@ def _eager_scan(candidates, params, mode):
         if key in seen:
             continue
         seen.add(key)
-        report = eq.verify_nash(prof, params, mode)
+        report = eq.verify_nash(prof, params)
         if report.classification == "NonEquilibrium":
             continue
         w = eq.welfare(prof, params)[0]
@@ -1132,14 +1139,14 @@ def _eager_scan(candidates, params, mode):
     return best[1], best[2]
 
 
-def _eager_welfare_max(params, mode):
+def _eager_welfare_max(params):
     """The candidate list rebuilt from the public constructors, scanned eagerly."""
     candidates = [StrategyProfile.isolated(params), construct_independent(params)]
     above, below = eq._moderate_side_candidates(params)
     for a in above:
         for b in below:
             for construct in (construct_partially_collaborative, construct_collaborative):
-                prof = construct(params, a, b, mode)
+                prof = construct(params, a, b)
                 if prof is not None:
                     candidates.append(prof)
     anchored = _anchored_profiles(params)
@@ -1148,12 +1155,12 @@ def _eager_welfare_max(params, mode):
             start = StrategyProfile.isolated(params)
         else:
             start = anchored[s - 1]
-        config = DynamicsConfig(max_rounds=60, order="random_permutation", seed=s, mode=mode)
+        config = DynamicsConfig(max_rounds=60, order="random_permutation", seed=s)
         try:
             candidates.append(best_response_dynamics(start, params, config))
         except NonConvergenceError:
             continue
-    return _eager_scan(candidates, params, mode)
+    return _eager_scan(candidates, params)
 
 
 def _lazy_games():
@@ -1175,9 +1182,8 @@ def _lazy_games():
 @pytest.mark.parametrize("game", range(24))
 def test_lazy_welfare_max_matches_eager_scan(game):
     params = _lazy_games()[game]
-    mode = "exact" if params.n <= 16 else "structural"
-    prof, report = welfare_max_equilibrium(params, mode)
-    ref, ref_report = _eager_welfare_max(params, mode)
+    prof, report = welfare_max_equilibrium(params)
+    ref, ref_report = _eager_welfare_max(params)
     assert np.array_equal(prof.g, ref.g)
     assert np.array_equal(prof.x, ref.x)
     assert np.array_equal(prof.y, ref.y)
@@ -1199,18 +1205,18 @@ def _scripted(monkeypatch, tagged, scripted):
 
     calls = []
 
-    def fake_verify(prof, params, mode="exact"):
+    def fake_verify(prof, params):
         calls.append(int(prof.x[0]))
         _, label, contributors = lookup(prof)
         return EquilibriumReport(label, contributors, (), ())
 
-    monkeypatch.setattr(eq, "_candidates", lambda games, mode: [list(tagged)])
+    monkeypatch.setattr(eq, "_candidates", lambda games: [list(tagged)])
     monkeypatch.setattr(eq, "verify_nash", fake_verify)
     monkeypatch.setattr(eq, "welfare", lambda prof, params: (lookup(prof)[0], 0.0))
     params = _params([0.0, 0.5, 1.0])
     # the eager list holds only templates that pass their class check
     eager = [p for p, tag in tagged if tag is None or fake_verify(p, params).classification == tag]
-    want = _eager_scan(eager, params, "exact")
+    want = _eager_scan(eager, params)
     calls.clear()
     return params, want, calls
 
@@ -1227,7 +1233,7 @@ def test_lazy_tie_chain_prefers_later_independent(monkeypatch):
     tagged = [(_dummy(0), None), (_dummy(1), "Collaborative"), (_dummy(2), None),
               (_dummy(3), None), (_dummy(4), None)]
     params, want, calls = _scripted(monkeypatch, tagged, scripted)
-    prof, report = welfare_max_equilibrium(params, "exact")
+    prof, report = welfare_max_equilibrium(params)
     # the core candidate has the highest welfare, yet an Independent within
     # tolerance takes the tie, and a second step (1.8 tol below the core)
     # moves to fewer contributors
@@ -1248,7 +1254,7 @@ def test_failed_template_does_not_shadow_dynamics_profile(monkeypatch):
     # dynamics copy still counts
     tagged = [(_dummy(0), None), (_dummy(1), "Collaborative"), (_dummy(1), None)]
     params, want, calls = _scripted(monkeypatch, tagged, scripted)
-    prof, report = welfare_max_equilibrium(params, "exact")
+    prof, report = welfare_max_equilibrium(params)
     assert int(want[0].x[0]) == 1
     assert int(prof.x[0]) == 1
     assert report.classification == "PartiallyCollaborative"

@@ -340,7 +340,7 @@ def test_robustness_zero_bound_is_one():
     params = _params([0.0, 0.5, 1.0], k=0.3)
     from netpublic import welfare_max_equilibrium
 
-    prof, _ = welfare_max_equilibrium(params, "exact")
+    prof, _ = welfare_max_equilibrium(params)
     assert perturbation_robustness(prof, params, 0.0, trials=5, seed=1) == 1.0
 
 
@@ -348,7 +348,7 @@ def test_robustness_breaks_under_huge_shocks():
     params = _params([0.0, 0.5, 1.0], k=0.3)
     from netpublic import welfare_max_equilibrium
 
-    prof, _ = welfare_max_equilibrium(params, "exact")
+    prof, _ = welfare_max_equilibrium(params)
     frac = perturbation_robustness(prof, params, 10.0, trials=12, seed=2)
     assert frac < 1.0
 

@@ -22,6 +22,7 @@ from netpublic import (
     utility,
     welfare,
 )
+from netpublic.best_response import _responses
 from netpublic.model import gross_value, normal_quantile, validate_types
 from tests.conftest import FAMILIES
 
@@ -84,9 +85,14 @@ def test_log_zero_consumption_raises_no_runtime_warning():
         assert welfare(zero, params)[0] == -math.inf
         assert gross_value(params, np.arange(4), 0.0, 0.0, 0.0, 0.0)[1] == -math.inf
         assert np.isfinite(k_tilde(params))  # types 0 and 1 have a zero autarky good
+        assert best_response(1, zero, params).utility > -math.inf
+        assert find_profitable_deviation(zero, params).player == 0
+        # either search, pinned through the kernel: every player escapes the
+        # -inf of zero consumption, so player 0 deviates first in both
+        state = zero.x[None], zero.y[None], zero.in_degree()[None]
         for mode in ("exact", "structural"):
-            assert best_response(1, zero, params, mode).utility > -math.inf
-            assert find_profitable_deviation(zero, params, mode).player == 0
+            best = _responses(mode, np.arange(4), np.zeros(4, dtype=int), *state, params)[3]
+            assert (best > -math.inf).all()
 
 
 def test_bad_specs_rejected():

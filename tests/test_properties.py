@@ -74,7 +74,7 @@ def test_oracle_members_reverify(params):
     eqs = brute_force_equilibria(params)
     assert eqs
     for prof in eqs:
-        assert verify_nash(prof, params, "exact").classification != "NonEquilibrium"
+        assert verify_nash(prof, params).classification != "NonEquilibrium"
 
 
 @ORACLE_SETTINGS
@@ -98,8 +98,8 @@ def test_oracle_members_survive_the_json_round_trip(params):
         text = json.dumps(cli._round_sig(cli._profile_payload(prof)))
         back = cli._profile_from_payload(json.loads(text), params.n)
         assert np.array_equal(back.g, prof.g)
-        want = verify_nash(prof, params, "exact").classification
-        assert verify_nash(back, params, "exact").classification == want
+        want = verify_nash(prof, params).classification
+        assert verify_nash(back, params).classification == want
 
 
 @st.composite
@@ -127,7 +127,7 @@ def test_two_way_verdicts_on_symmetric_digraphs(case):
     G = np.repeat(g[None], rows.size, axis=0)
     one_way = eq._nash_stable(G, X, Y, params, two_way=False)
     two_way = eq._nash_stable(G, X, Y, params, two_way=True)
-    want = [find_profitable_deviation(StrategyProfile(x, y, g), params, "exact") is None
+    want = [find_profitable_deviation(StrategyProfile(x, y, g), params) is None
             for x, y in zip(X, Y)]
     assert one_way.tolist() == want
     assert two_way.tolist() == (want if not g.any() else [False] * rows.size)
@@ -175,7 +175,7 @@ def test_batched_best_response_matches_single_and_enumeration(case):
     want = unpruned_exact_responses(players, X, Y, params)
     for r, i in enumerate(players.tolist()):
         profile = StrategyProfile(X[r], Y[r], np.zeros((params.n, params.n)))
-        br = best_response(i, profile, params, "exact")
+        br = best_response(i, profile, params)
         assert tuple(np.flatnonzero(links[r]).tolist()) == br.links
         assert x[r].tobytes() == np.float64(br.x).tobytes()
         assert y[r].tobytes() == np.float64(br.y).tobytes()
@@ -330,9 +330,9 @@ def test_pruned_structural_kernel_matches_unpruned(case):
 def game_families(draw):
     """2 to 6 games on one society, as the subsidy planner and sweep_k pose
     them: each game has its own k and, in about half of them, its own
-    per-player costs.  Exact mode at n <= 12, structural mode up to n = 30."""
-    mode = draw(st.sampled_from(["exact", "structural"]))
-    n = draw(st.integers(3, 12 if mode == "exact" else 30))
+    per-player costs, on either side of the search's switch: n <= 14, where
+    it is exact, and n = 15 to 30, where it is structural."""
+    n = draw(st.integers(3, 14) if draw(st.booleans()) else st.integers(15, 30))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     types = np.array([0.0, *np.sort(rng.uniform(0.001, 0.999, n - 2)), 1.0])
     spec = draw(st.sampled_from(FAMILIES))
@@ -342,19 +342,18 @@ def game_families(draw):
         costs = c * rng.uniform(0.5, 1.5, n) if rng.random() < 0.5 else None
         probe = GameParams(types, c, 1.0, spec, costs)
         games.append(probe.with_k(float(rng.uniform(0.05, 1.1)) * k_tilde(probe)))
-    return mode, games
+    return games
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=25)
 @given(game_families())
-def test_game_batch_matches_each_games_own_solve(case):
+def test_game_batch_matches_each_games_own_solve(games):
     # each row of the lockstep batch reads its own game's types, costs and
     # k; a row reading another game's would change that game's answer
-    mode, games = case
-    got = list(welfare_max_equilibria(games, mode))
+    got = list(welfare_max_equilibria(games))
     assert len(got) == len(games)
     for (prof, report), params in zip(got, games):
-        want, want_report = welfare_max_equilibrium(params, mode)
+        want, want_report = welfare_max_equilibrium(params)
         assert prof.g.tobytes() == want.g.tobytes()
         assert prof.x.tobytes() == want.x.tobytes() and prof.y.tobytes() == want.y.tobytes()
         assert report.classification == want_report.classification

@@ -14,6 +14,7 @@ from netpublic import (
     welfare_max_equilibrium,
 )
 from netpublic.metrics import welfare
+from netpublic.subsidy import _is_star_on
 
 
 def _params(types, c=1.0, k=0.9):
@@ -58,7 +59,7 @@ def test_zero_budget_null_plan():
     assert plan.recipients() == ()
     assert plan.spent == 0.0
     assert regime == "ExistingContributors"
-    base, _ = welfare_max_equilibrium(params, "exact")
+    base, _ = welfare_max_equilibrium(params)
     assert np.array_equal(prof.g, base.g)
 
 
@@ -71,7 +72,7 @@ def test_planner_rejects_bad_budget():
 
 def test_planner_never_hurts_welfare_and_respects_budget():
     params = _params([0.0, 0.2, 0.5, 0.8, 1.0], k=0.7)
-    base, _ = welfare_max_equilibrium(params, "exact")
+    base, _ = welfare_max_equilibrium(params)
     base_w = welfare(base, params)[0]
     plan, prof, _ = planner(params, 0.4, target_grid=4, level_grid=6)
     subsidized = params.with_costs(params.cost_vec - plan.v)
@@ -108,3 +109,19 @@ def test_large_budget_builds_star_on_moderate_recipient():
     assert abs(params.types[m] - params.types.mean()) < 0.2
     others = [i for i in range(7) if i != m]
     assert all(prof.g[i, m] == 1 for i in others)
+
+
+def test_star_check_needs_every_spoke_and_a_single_hub():
+    def links(n, pairs):
+        g = np.zeros((n, n), dtype=np.int8)
+        for i, j in pairs:
+            g[i, j] = 1
+        return StrategyProfile(np.ones(n), np.ones(n), g)
+
+    star = links(5, [(i, 2) for i in (0, 1, 3, 4)])
+    assert _is_star_on(star, 2)
+    assert not _is_star_on(star, 0)
+    assert not _is_star_on(links(5, [(i, 2) for i in (0, 1, 3)]), 2)  # a spoke missing
+    # two hubs: split spokes, or every spoke into 2 and the hub's own link to 4
+    assert not _is_star_on(links(5, [(0, 2), (1, 2), (3, 4)]), 2)
+    assert not _is_star_on(links(5, [(0, 2), (1, 2), (3, 2), (4, 2), (2, 4)]), 2)

@@ -28,7 +28,7 @@ def _base(n=12, seed=3, c=1.0):
 def test_sweep_above_threshold_all_empty():
     params = _base()
     kt = k_tilde(params)
-    records = sweep_k(params, [kt + 0.1, kt + 0.2, kt + 0.3], mode="exact")
+    records = sweep_k(params, [kt + 0.1, kt + 0.2, kt + 0.3])
     assert all(r.classification == "Empty" for r in records)
     assert len({round(r.welfare_sum, 12) for r in records}) == 1
 
@@ -36,19 +36,19 @@ def test_sweep_above_threshold_all_empty():
 def test_sweep_requires_increasing_grid():
     params = _base()
     with pytest.raises(ValueError):
-        sweep_k(params, [0.5, 0.4], mode="exact")
+        sweep_k(params, [0.5, 0.4])
 
 
 def test_sweep_deterministic():
     params = _base()
-    a = sweep_k(params, [0.3, 0.6, 0.9], mode="exact")
-    b = sweep_k(params, [0.3, 0.6, 0.9], mode="exact")
+    a = sweep_k(params, [0.3, 0.6, 0.9])
+    b = sweep_k(params, [0.3, 0.6, 0.9])
     assert a == b
 
 
 def test_sweep_log_low_costs_keeps_two_contributors():
     params = _base(n=14)
-    records = sweep_k(params, [0.2, 0.4, 0.6], mode="exact")
+    records = sweep_k(params, [0.2, 0.4, 0.6])
     for rec in records:
         assert rec.contributor_count >= 2
 
@@ -87,7 +87,7 @@ def test_fine_sweep_near_threshold_shows_polarization_hump():
     # falls once moderate contributors emerge and players stay isolated
     params = _base(n=30, seed=3)
     grid = [round(v, 4) for v in np.linspace(0.55, 0.995, 8)]
-    records = sweep_k(params, grid, mode="structural")
+    records = sweep_k(params, grid)
     events = detect_regime_changes(records)
     flips = [e for _, e in events if e is RegimeEvent.POLARIZATION_TREND_FLIP]
     assert flips
