@@ -380,13 +380,14 @@ def _nash_stable(
     """Exact Nash verdict for each contribution fixed point (G[r], X[r], Y[r])
     of a stack.
 
-    One-way, True where find_profitable_deviation(profile, params) (exact at
-    these n) is None: no player's best response over all link subsets, with
+    One-way, True where find_profitable_deviation(profile, params), exact at
+    n <= 4, is None: no player's best response over all link subsets, with
     the same fewest-links tie-break, beats their current utility by more
-    than EPS_DEV.  Under two-way flow a player also reaches everyone who links to
-    them, free of charge, whichever links they buy.  At a fixed point each
-    player's contributions top up what they reach, so their current utility
-    is that of their current links among the subsets (to rounding).
+    than EPS_DEV.  Under two-way flow a player also reaches everyone who
+    links to them, free of charge, whichever links they buy.  At a fixed
+    point each player's contributions top up what they reach, so their
+    current utility is that of their current links among the subsets (to
+    rounding).
 
     The oracle enumerates every subset of a player's n - 1 <= 3 opponents as
     one stacked 1 x (n - 1) product per profile instead of calling the pruned
@@ -548,11 +549,11 @@ def _dynamics(
     own game, with the search ``best_response`` uses at this n.  The window
     ends at its earliest position where some row's player improves, and
     every row's move there is applied; no row moved before it, so each row
-    replays its run bit for bit.  w doubles after a
-    window without a move, up to _KERNEL_CHUNK // (n x live rows), which
-    bounds the window's state rows, and drops back to 1 after a move.  A row
-    settles once a round changes nothing; a row still changing after
-    max_rounds rounds stops where it stands, unsettled.
+    replays its run bit for bit.  w doubles after a window without a move,
+    up to _KERNEL_CHUNK // (n x live rows), which bounds the window's state
+    rows, and drops back to 1 after a move.  A row settles once a round
+    changes nothing; a row still changing after max_rounds rounds stops
+    where it stands, unsettled.
     """
     b = len(X)
     index: dict[int, int] = {}
