@@ -9,7 +9,8 @@ the largest providers) and at most three links, which is what equilibrium
 structure says sponsors actually use.  Both drop every target whose
 standalone link gain cannot cover k, which provably changes no answer.
 Both run one array kernel over a stack of rows: ``best_response`` is its
-batch of one, and ``find_profitable_deviation`` one call per block of players.
+batch of one, and ``_deviations`` (find_profitable_deviation on a stack of
+profiles) one call per block of (profile, player) rows.
 """
 
 from __future__ import annotations
@@ -276,21 +277,36 @@ def best_response(i: int, profile: StrategyProfile, params: GameParams) -> BestR
     return BestResponse(chosen, float(x[0]), float(y[0]), float(u[0]))
 
 
+def _deviations(params, game, X, Y, G) -> list[Deviation | None]:
+    """``find_profitable_deviation`` of each profile (X[r], Y[r], G[r]) of a
+    stack, in game game[r] of params (parameter index game * n + i): its
+    (profile, player) rows in order, _KERNEL_CHUNK // n a kernel call, each
+    profile up to its first block with a deviator.  A NaN best or current
+    utility, which any comparison reads as no deviation, raises ValueError;
+    a current utility of -inf is an ordinary deviation."""
+    n, indeg = X.shape[1], G.sum(axis=1)
+    step, search = max(1, _KERNEL_CHUNK // n), _search(n)
+    found: list[Deviation | None] = [None] * len(X)
+    todo = np.arange(len(X) * n)
+    while todo.size:
+        p, i = np.divmod(todo[:step], n)
+        who = game[p] * n + i
+        links, new_x, new_y, best = _responses(search, who, p, X, Y, indeg, params)
+        current = utilities(params, who, X[p], Y[p], G[p, i])
+        nan = np.flatnonzero(np.isnan(best - current))
+        if nan.size:
+            raise ValueError(f"player {i[nan[0]]} has a NaN utility in profile row {p[nan[0]]}")
+        hit = np.flatnonzero(best > current + EPS_DEV)
+        for r in hit[np.unique(p[hit], return_index=True)[1]]:  # each profile's first
+            found[p[r]] = Deviation(int(i[r]), tuple(np.flatnonzero(links[r]).tolist()),
+                                    float(new_x[r]), float(new_y[r]), float(best[r] - current[r]))
+        todo = todo[step:][~np.isin(todo[step:] // n, p[hit])]
+    return found
+
+
 def find_profitable_deviation(profile: StrategyProfile, params: GameParams) -> Deviation | None:
     """Lowest-indexed player with a strategy improving by more than EPS_DEV,
-    searched one kernel call per block of _KERNEL_CHUNK // n players (which
-    bounds the block's link rows), up to the first block with a deviator."""
-    n, x, y, indeg = params.n, profile.x[None], profile.y[None], profile.in_degree()[None]
-    step, search = max(1, _KERNEL_CHUNK // n), _search(n)
-    for lo in range(0, n, step):
-        players = np.arange(lo, min(lo + step, n))
-        src = np.zeros_like(players)  # every player against the one profile
-        links, new_x, new_y, best = _responses(search, players, src, x, y, indeg, params)
-        current = utilities(params, players, x, y, profile.g[players])
-        better = best > current + EPS_DEV
-        if better.any():
-            r = int(np.argmax(better))
-            chosen = tuple(np.flatnonzero(links[r]).tolist())
-            return Deviation(int(players[r]), chosen, float(new_x[r]), float(new_y[r]),
-                             float(best[r] - current[r]))
-    return None
+    searched _KERNEL_CHUNK // n players a kernel call, up to the first block
+    with a deviator: ``_deviations`` on a batch of one."""
+    return _deviations(params, np.zeros(1, dtype=int), profile.x[None], profile.y[None],
+                       profile.g[None])[0]

@@ -19,6 +19,7 @@ import numpy as np
 from .best_response import (
     Deviation,
     _KERNEL_CHUNK,
+    _deviations,
     _link_gain,
     _responses,
     _search,
@@ -26,7 +27,7 @@ from .best_response import (
     _top_up,
     find_profitable_deviation,
 )
-from .metrics import welfare
+from .metrics import _welfare_totals
 from .model import EPS_DEV, GameParams, StrategyProfile, _GameStack, utilities
 
 EMPTY = "Empty"
@@ -155,8 +156,9 @@ def _top_up_links(prof: StrategyProfile, players: np.ndarray, params: GameParams
     _, prof.x[players], prof.y[players] = _top_up(players, rows @ prof.x, rows @ prof.y, params)
 
 
-def _attach_to_core(prof: StrategyProfile, core: tuple[int, ...], params: GameParams) -> None:
-    """Give every non-core player their best subset of links into the core.
+def _attach_to_core(x, y, g, core: tuple[int, ...], params: GameParams) -> None:
+    """Give every non-core player of the profile (x, y, g) their best subset
+    of links into the core, in place.
 
     One array pass over all non-core players per link option, in (size, lex)
     order, replacing a player's choice only when an option beats it by more
@@ -173,7 +175,7 @@ def _attach_to_core(prof: StrategyProfile, core: tuple[int, ...], params: GamePa
     best_x, best_y = params.x_hat[others], params.y_hat[others]
     for o, links in enumerate(options):
         gross, xi, yi = _top_up(
-            others, float(prof.x[list(links)].sum()), float(prof.y[list(links)].sum()), params
+            others, float(x[list(links)].sum()), float(y[list(links)].sum()), params
         )
         u = gross - params.k * len(links)
         better = u > best_u + EPS_DEV
@@ -181,13 +183,13 @@ def _attach_to_core(prof: StrategyProfile, core: tuple[int, ...], params: GamePa
         best_opt[better] = o
         best_x[better] = xi[better]
         best_y[better] = yi[better]
-    prof.g[others] = 0
+    g[others] = 0
     for o, links in enumerate(options):
         rows = others[best_opt == o]
         for j in links:
-            prof.g[rows, j] = 1
-    prof.x[others] = best_x
-    prof.y[others] = best_y
+            g[rows, j] = 1
+    x[others] = best_x
+    y[others] = best_y
 
 
 def _core_links_pay(params: GameParams, a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -210,32 +212,29 @@ def _core_links_pay(params: GameParams, a, b) -> tuple[np.ndarray, np.ndarray]:
     return partial, collaborative
 
 
-def _build_collaborative(params: GameParams, i: int, j: int) -> StrategyProfile:
-    """Unverified collaborative template on t_i > 1/2 > t_j."""
+def _template(x, y, g, params: GameParams, a: int, b: int, kind: str) -> None:
+    """Turn the isolated profile (x, y, g), in place, into the unverified
+    template of class ``kind`` on t_a > 1/2 > t_b (see the constructors)."""
+    g[b, a], x[b] = 1, 0.0
+    if kind == COLLABORATIVE:
+        g[a, b], y[a] = 1, 0.0
+    else:
+        y[b] -= params.y_hat[a]
+    _attach_to_core(x, y, g, (a, b), params)
+
+
+def _construct_template(params: GameParams, a: int, b: int, kind: str) -> StrategyProfile | None:
+    """The template if its core links pay and it verifies as ``kind``."""
+    if not _core_links_pay(params, a, b)[kind == COLLABORATIVE]:
+        return None
     prof = StrategyProfile.isolated(params)
-    prof.set_strategy(i, [j], params.x_hat[i], 0.0)
-    prof.set_strategy(j, [i], 0.0, params.y_hat[j])
-    _attach_to_core(prof, (i, j), params)
-    return prof
+    _template(prof.x, prof.y, prof.g, params, a, b, kind)
+    return prof if verify_nash(prof, params).classification == kind else None
 
 
 def construct_collaborative(params: GameParams, i: int, j: int) -> StrategyProfile | None:
     """Two-player core with mutual links, each fully specialized in one good."""
-    if not _core_links_pay(params, i, j)[1]:
-        return None
-    prof = _build_collaborative(params, i, j)
-    if verify_nash(prof, params).classification == COLLABORATIVE:
-        return prof
-    return None
-
-
-def _build_partially_collaborative(params: GameParams, a: int, b: int) -> StrategyProfile:
-    """Unverified partially-collaborative template on t_a > 1/2 > t_b."""
-    prof = StrategyProfile.isolated(params)
-    prof.set_strategy(a, [], params.x_hat[a], params.y_hat[a])
-    prof.set_strategy(b, [a], 0.0, params.y_hat[b] - params.y_hat[a])
-    _attach_to_core(prof, (a, b), params)
-    return prof
+    return _construct_template(params, i, j, COLLABORATIVE)
 
 
 def construct_partially_collaborative(
@@ -243,12 +242,7 @@ def construct_partially_collaborative(
 ) -> StrategyProfile | None:
     """Two-player core where only b sponsors: a provides its full autarky
     bundle, b free rides on a's x and tops up the y gap."""
-    if not _core_links_pay(params, a, b)[0]:
-        return None
-    prof = _build_partially_collaborative(params, a, b)
-    if verify_nash(prof, params).classification == PARTIALLY_COLLABORATIVE:
-        return prof
-    return None
+    return _construct_template(params, a, b, PARTIALLY_COLLABORATIVE)
 
 
 # ----------------------------------------------------------------------
@@ -383,8 +377,9 @@ def _nash_stable(
     One-way, True where find_profitable_deviation(profile, params), exact at
     n <= 4, is None: no player's best response over all link subsets, with
     the same fewest-links tie-break, beats their current utility by more
-    than EPS_DEV.  Under two-way flow a player also reaches everyone who
-    links to them, free of charge, whichever links they buy.  At a fixed
+    than EPS_DEV; a NaN utility raises ValueError, as in ``_deviations``.
+    Under two-way flow a player also reaches everyone who links to them, free
+    of charge, whichever links they buy.  At a fixed
     point each player's contributions top up what they reach, so their
     current utility is that of their current links among the subsets (to
     rounding).
@@ -416,8 +411,12 @@ def _nash_stable(
         x_bar, y_bar = ((P[keep, i][:, cand][:, None] @ subsets.T)[:, 0] + f[keep, i, None]
                         for P, f in zip(paid, free))
         util = _top_up(i, x_bar, y_bar, params)[0] - fees
+        top = util.max(axis=1)
+        nan = np.flatnonzero(np.isnan(top))  # NaN anywhere in a row, best and current too
+        if nan.size:
+            raise ValueError(f"player {i} has a NaN utility in profile row {keep[nan[0]]}")
         at = np.arange(keep.size)
-        best = util[at, np.argmax(util >= util.max(axis=1)[:, None] - EPS_DEV, axis=1)]
+        best = util[at, np.argmax(util >= top[:, None] - EPS_DEV, axis=1)]
         current = util[at, row_of[(G[keep, i][:, cand] @ weights).astype(np.intp)]]
         keep = keep[~(best > current + EPS_DEV)]
     stable = np.zeros(m, dtype=bool)
@@ -646,59 +645,47 @@ def _moderate_side_candidates(params: GameParams) -> tuple[np.ndarray, np.ndarra
     return above, below
 
 
-def _profile_key(prof: StrategyProfile) -> bytes:
-    return prof.g.tobytes() + np.round(prof.x, 10).tobytes() + np.round(prof.y, 10).tobytes()
-
-
-def _starts(params: GameParams, greedy: StrategyProfile) -> tuple[np.ndarray, ...]:
-    """X, Y and G of a game's dynamics rows: the isolated profile, the
-    anchored starts, then the greedy independent profile for the repair."""
-    X, Y, G = _anchored_starts(params)
-    return (np.vstack([params.x_hat, X, greedy.x]), np.vstack([params.y_hat, Y, greedy.y]),
-            np.concatenate([np.zeros_like(G[:1]), G, greedy.g[None]]))
-
-
 def _candidates(games: list[GameParams]):
-    """Each game's unverified candidates, game by game, tagged with the class
-    a template needs.
-
-    The tag is None for the empty profile, the independent construction and
-    the dynamics results, which count whatever class they verify as.  The
-    seeded dynamics starts and the repair of the greedy independent profile
-    (construct_independent) of every game run as one
-    lockstep batch; a game's templates are built when its candidates are
-    taken.
-    """
-    seeded = [
-        DynamicsConfig(max_rounds=60, order=RANDOM_PERMUTATION, seed=s)
-        for s in range(_DYNAMICS_STARTS)
-    ]
-    greedy = [_greedy_independent(params) for params in games]
-    X, Y, G = (np.concatenate(part) for part in zip(*map(_starts, games, greedy)))
-    per = _DYNAMICS_STARTS + 1  # rows per game: the seeded starts, then the repair
-    done = _dynamics(X, Y, G, [p for p in games for _ in range(per)],
-                     [c for _ in games for c in seeded + [DynamicsConfig()]])
-    for g, params in enumerate(games):
-        *settled, repaired = (
-            StrategyProfile(X[r].copy(), Y[r].copy(), G[r].copy()) if done[r] else None
-            for r in range(g * per, (g + 1) * per)
-        )
-        out: list[tuple[StrategyProfile, str | None]] = [
-            (StrategyProfile.isolated(params), None),
-            (greedy[g] if repaired is None else repaired, None),
-        ]
+    """The unverified candidates of a group of games as rows of one stack:
+    X, Y, G, each row's game and tag (the class a template needs, else
+    None), and the candidates' rows in candidate order.  The stack opens
+    with one lockstep dynamics batch: per game, the seeded starts (isolated,
+    then anchored) and the repair of the greedy independent profile
+    (construct_independent; the greedy profile where it does not settle).
+    Each game's candidates: the isolated profile, the independent one, the
+    templates in (above, below) order, partial before collaborative, and the
+    settled dynamics rows."""
+    n, per = games[0].n, _DYNAMICS_STARTS + 1  # dynamics rows per game
+    size, cores = len(games) * per, []  # cores: each game's templates (a, b, collaborative)
+    for params in games:
         above, below = _moderate_side_candidates(params)
-        partial, collaborative = _core_links_pay(params, above[:, None], below)
-        for r, a in enumerate(above.tolist()):
-            for s, b in enumerate(below.tolist()):
-                if partial[r, s]:
-                    out.append(
-                        (_build_partially_collaborative(params, a, b), PARTIALLY_COLLABORATIVE)
-                    )
-                if collaborative[r, s]:
-                    out.append((_build_collaborative(params, a, b), COLLABORATIVE))
-        out.extend((prof, None) for prof in settled if prof is not None)
-        yield out
+        r, s, kind = np.nonzero(np.stack(_core_links_pay(params, above[:, None], below), axis=-1))
+        cores.append(list(zip(above[r].tolist(), below[s].tolist(), kind.tolist())))
+    total = size + sum(1 + len(c) for c in cores)
+    X, Y, G = np.empty((total, n)), np.empty((total, n)), np.zeros((total, n, n), dtype=np.int8)
+    game, tags = np.repeat(np.arange(len(games)), per).tolist(), [None] * total
+    greedy = [_greedy_independent(params) for params in games]
+    for g, params in enumerate(games):
+        lo, repair = g * per, g * per + _DYNAMICS_STARTS
+        X[lo], Y[lo] = params.x_hat, params.y_hat
+        X[lo + 1 : repair], Y[lo + 1 : repair], G[lo + 1 : repair] = _anchored_starts(params)
+        X[repair], Y[repair], G[repair] = greedy[g].x, greedy[g].y, greedy[g].g
+    seeded = [DynamicsConfig(order=RANDOM_PERMUTATION, seed=s) for s in range(_DYNAMICS_STARTS)]
+    done = _dynamics(X[:size], Y[:size], G[:size], [p for p in games for _ in range(per)],
+                     [c for _ in games for c in seeded + [DynamicsConfig()]])
+    order = []
+    for g, (params, templates) in enumerate(zip(games, cores)):
+        repair, row = g * per + _DYNAMICS_STARTS, len(game)
+        if not done[repair]:
+            X[repair], Y[repair], G[repair] = greedy[g].x, greedy[g].y, greedy[g].g
+        game += [g] * (1 + len(templates))
+        X[row : len(game)], Y[row : len(game)] = params.x_hat, params.y_hat
+        for t, (a, b, collaborative) in enumerate(templates, start=row + 1):
+            tags[t] = COLLABORATIVE if collaborative else PARTIALLY_COLLABORATIVE
+            _template(X[t], Y[t], G[t], params, a, b, tags[t])
+        settled = g * per + np.flatnonzero(done[g * per : repair])
+        order += [row, repair, *range(row + 1, len(game)), *settled.tolist()]
+    return X, Y, G, np.array(game), tags, np.array(order)
 
 
 def welfare_max_equilibria(
@@ -710,20 +697,25 @@ def welfare_max_equilibria(
 
     Games are taken in groups of at most _KERNEL_CHUNK // n dynamics rows
     (so that even a one-position window of a group stays within the
-    kernel's bound), and a group's dynamics starts run in one lockstep batch,
-    each row reading its own game's parameters; templates, the greedy pass
-    and the lazy verification stay per game.  A long family is never held
-    whole.  Each answer equals the game's own ``welfare_max_equilibrium``
-    bit for bit.
+    kernel's bound).  A group's candidates are rows of one stack, each
+    reading its own game's parameters: one lockstep dynamics batch, one
+    welfare pass and one deviation search per verification round serve the
+    whole group.  A long family is never held whole.  Each answer equals the
+    game's own ``welfare_max_equilibrium`` bit for bit.
     """
+    return ((prof, report) for prof, report, _ in _welfare_max_equilibria(games))
+
+
+def _welfare_max_equilibria(games: Iterable[GameParams]):
+    """welfare_max_equilibria, each answer with its total welfare from the
+    group's pricing pass (``welfare``'s, bit for bit)."""
     games = iter(games)
     for first in games:
         size = max(1, _KERNEL_CHUNK // (first.n * (_DYNAMICS_STARTS + 1)))
         group = [first, *itertools.islice(games, size - 1)]
         if any(g.n != first.n or g.benefit != first.benefit for g in group):
             raise ValueError("a family of games must share n and the benefit family")
-        for params, candidates in zip(group, _candidates(group)):
-            yield _welfare_max(params, candidates)
+        yield from _welfare_max(group)
 
 
 def welfare_max_equilibrium(params: GameParams) -> tuple[StrategyProfile, EquilibriumReport]:
@@ -735,13 +727,14 @@ def welfare_max_equilibrium(params: GameParams) -> tuple[StrategyProfile, Equili
     Ties go to independent networks, then to fewer contributors.
 
     Candidates are built unverified and verified lazily, in descending
-    welfare order, one ``verify_nash`` per distinct profile.  A template
-    counts only if it verifies as its own class; any other candidate counts
-    if it verifies at all.  Verification stops once every unverified
-    candidate lies more than the tie tolerance below the lowest accepted
-    welfare: such a candidate can neither beat nor tie any accepted one, so
-    the sequential tie scan, replayed over the accepted candidates in
-    candidate order, returns what scanning every candidate would.
+    welfare order, one best-response check (``verify_nash``'s) per distinct
+    profile.  A template counts only if it verifies as its own class; any
+    other candidate counts if it verifies at all.  Verification stops once
+    every unverified candidate lies more than the tie tolerance below the
+    lowest accepted welfare: such a candidate can neither beat nor tie any
+    accepted one, so the sequential tie scan, replayed over the accepted
+    candidates in candidate order, returns what scanning every candidate
+    would.
 
     This is ``welfare_max_equilibria`` on a batch of one.
     """
@@ -749,53 +742,61 @@ def welfare_max_equilibrium(params: GameParams) -> tuple[StrategyProfile, Equili
 
 
 def _welfare_max(
-    params: GameParams, candidates: list[tuple[StrategyProfile, str | None]]
-) -> tuple[StrategyProfile, EquilibriumReport]:
-    """The lazy verification and tie scan of welfare_max_equilibrium over
-    one game's candidates."""
-    w = [welfare(prof, params)[0] for prof, _ in candidates]
-    # candidates sharing a profile key share one report; as in a plain scan,
-    # the first of them that counts stands for the group
-    groups: dict[bytes, list[int]] = {}
-    for idx, (prof, _) in enumerate(candidates):
-        groups.setdefault(_profile_key(prof), []).append(idx)
-    ranked = sorted(
-        ((max(w[i] for i in members), members) for members in groups.values()),
-        key=lambda item: -item[0],
-    )
+    games: list[GameParams]
+) -> list[tuple[StrategyProfile, EquilibriumReport, float]]:
+    """welfare_max_equilibrium's lazy verification and tie scan for each
+    game of a group, with the answer's welfare.  One ``_welfare_totals`` pass
+    prices the candidate stack; each round, every unfinished game's
+    best-ranked unverified distinct profile goes into one ``_deviations``
+    search, so each game verifies what its own scan would.  Only profiles
+    that verify (for ``classify``) and the answers become StrategyProfiles."""
+    X, Y, G, game, tags, order = _candidates(games)
+    params = _GameStack.of(games)
+    w = _welfare_totals(params, game, X, Y, G)
+    ranked = []  # per game: (welfare, candidate rows) of each distinct profile, best first
+    for g in range(len(games)):
+        cand = order[game[order] == g]
+        # candidates sharing a key (links, and contributions to 10 decimals)
+        # share one report; as in a plain scan, the first of them that
+        # counts stands for the group
+        groups: dict[bytes, list[int]] = {}
+        for r, x, y in zip(cand.tolist(), np.round(X[cand], 10), np.round(Y[cand], 10)):
+            groups.setdefault(G[r].tobytes() + x.tobytes() + y.tobytes(), []).append(r)
+        ranked.append(iter(sorted(((w[m].max(), m) for m in groups.values()),
+                                  key=lambda item: -item[0])))
+    accepted: list[list[tuple[int, EquilibriumReport]]] = [[] for _ in games]
+    lowest, live = [np.inf] * len(games), list(range(len(games)))
+    while live:
+        heads = ((g, next(ranked[g], (None, None))) for g in live)
+        heads = [(g, members) for g, (top, members) in heads if members is not None
+                 and not (accepted[g] and top < lowest[g] - _WELFARE_TIE_TOL)]
+        live = [g for g, _ in heads]
+        rows = np.array([members[0] for _, members in heads], dtype=int)
+        found = _deviations(params, game[rows], X[rows], Y[rows], G[rows])
+        for (g, members), r, deviation in zip(heads, rows, found):
+            if deviation is None:
+                report = classify(StrategyProfile(X[r], Y[r], G[r]))
+                first = next((m for m in members if tags[m] in (None, report.classification)),
+                             None)
+                if first is not None:
+                    accepted[g].append((first, report))
+                    lowest[g] = min(lowest[g], w[first])
 
-    accepted: list[tuple[int, EquilibriumReport]] = []
-    lowest = np.inf
-    for top, members in ranked:
-        if accepted and top < lowest - _WELFARE_TIE_TOL:
-            break
-        report = verify_nash(candidates[members[0]][0], params)
-        if report.classification == NON_EQUILIBRIUM:
-            continue
-        first = next(
-            (i for i in members if candidates[i][1] in (None, report.classification)), None
-        )
-        if first is not None:
-            accepted.append((first, report))
-            lowest = min(lowest, w[first])
-
-    best: tuple[float, StrategyProfile, EquilibriumReport] | None = None
-    for idx, report in sorted(accepted, key=lambda item: item[0]):
-        prof, wi = candidates[idx][0], w[idx]
-        if best is None or wi > best[0] + _WELFARE_TIE_TOL:
-            best = (wi, prof, report)
-        elif abs(wi - best[0]) <= _WELFARE_TIE_TOL:
-            cur_rep = best[2]
-            better_class = (
-                report.classification == INDEPENDENT
-                and cur_rep.classification != INDEPENDENT
-            )
-            same_class_fewer = (
-                report.classification == cur_rep.classification
-                and len(report.contributors) < len(cur_rep.contributors)
-            )
-            if better_class or same_class_fewer:
-                best = (wi, prof, report)
-    if best is None:
-        raise RuntimeError("no candidate survived verification")
-    return best[1], best[2]
+    rank = {r: k for k, r in enumerate(order.tolist())}  # candidate order
+    out = []
+    for scan in accepted:
+        best: tuple[float, int, EquilibriumReport] | None = None
+        for r, report in sorted(scan, key=lambda item: rank[item[0]]):
+            if best is None or w[r] > best[0] + _WELFARE_TIE_TOL:
+                best = (w[r], r, report)
+            elif abs(w[r] - best[0]) <= _WELFARE_TIE_TOL and (
+                report.classification == INDEPENDENT != best[2].classification
+                or (report.classification == best[2].classification
+                    and len(report.contributors) < len(best[2].contributors))
+            ):
+                best = (w[r], r, report)
+        if best is None:
+            raise RuntimeError("no candidate survived verification")
+        total, r, report = best
+        out.append((StrategyProfile(X[r].copy(), Y[r].copy(), G[r].copy()), report, total))
+    return out

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .best_response import _KERNEL_CHUNK
 from .model import GameParams, StrategyProfile, utilities
 
 
@@ -18,16 +19,29 @@ class MetricsRecord:
     contributor_share: float
 
 
-def welfare(profile: StrategyProfile, params: GameParams) -> tuple[float, float]:
-    """Total and per-capita utility; -inf propagates from dominated profiles.
+def _welfare_totals(params, game, X, Y, G) -> np.ndarray:
+    """Total utility of each profile (X[r], Y[r], G[r]) of a stack, in game
+    game[r] of params (parameter index game * n + i); -inf propagates.  One
+    ``utilities`` pass per _KERNEL_CHUNK // n^2 profiles (at least one), so at
+    most max(n, _KERNEL_CHUNK // n) (profile, player) rows; each total adds
+    its players left to right, as a per-player loop does."""
+    n, out = X.shape[1], np.empty(len(X))
+    step = max(1, _KERNEL_CHUNK // (n * n))
+    for lo in range(0, len(X), step):
+        b = min(step, len(X) - lo)
+        part = slice(lo, lo + b)
+        # each profile's row read by each of its players: a view for one profile
+        Xs, Ys = (np.broadcast_to(Z[part, None], (b, n, n)).reshape(-1, n) for Z in (X, Y))
+        who = (game[part, None] * n + np.arange(n)).ravel()
+        U = utilities(params, who, Xs, Ys, G[part].reshape(-1, n)).reshape(b, n)
+        out[part] = np.cumsum(U, axis=1)[:, -1] + 0.0  # as sum() from 0: -0.0 reads 0.0
+    return out
 
-    Per-player utilities come from one array pass; the total adds them left
-    to right as numpy scalars, the order a per-player loop sums them in.
-    """
-    n = params.n
-    X = np.broadcast_to(profile.x, (n, n))
-    Y = np.broadcast_to(profile.y, (n, n))
-    total = sum(utilities(params, np.arange(n), X, Y, profile.g))
+
+def welfare(profile: StrategyProfile, params: GameParams) -> tuple[float, float]:
+    """Total and per-capita utility: ``_welfare_totals`` on a batch of one."""
+    total = _welfare_totals(params, np.zeros(1, dtype=int), profile.x[None], profile.y[None],
+                            profile.g[None])[0]
     return total, total / params.n
 
 

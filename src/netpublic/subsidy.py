@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .benefits import BenefitSpec
-from .equilibrium import welfare_max_equilibria, welfare_max_equilibrium
-from .metrics import welfare
+from .equilibrium import _welfare_max_equilibria, welfare_max_equilibrium
 from .model import GameParams, IsolationDemand, StrategyProfile, isolation_demand
 
 EXISTING_CONTRIBUTORS = "ExistingContributors"
@@ -136,7 +135,7 @@ def planner(
         plan = SubsidyPlan(np.zeros(params.n), 0.0, 0.0)
         return plan, base_prof, EXISTING_CONTRIBUTORS
 
-    pending = deque()  # (plan, game) pairs handed to the solver, answers not yet read
+    pending = deque()  # plans handed to the solver, answers not yet read
 
     def trials():
         for v in _plan_vectors(params, base_report, target_grid, level_grid, budget):
@@ -144,12 +143,13 @@ def planner(
                 trial = params.with_costs(params.cost_vec - v)
             except ValueError:
                 continue
-            pending.append((v, trial))
+            pending.append(v)
             yield trial
 
     best = None  # (welfare, spent, plan, profile)
-    for prof, _ in welfare_max_equilibria(trials()):
-        v, trial = pending.popleft()
+    # each answer comes with its welfare under its plan's costs
+    for prof, _, w in _welfare_max_equilibria(trials()):
+        v = pending.popleft()
         spent = budget_spent(v, prof)
         if spent > budget + _BUDGET_SLACK:
             continue
@@ -158,7 +158,6 @@ def planner(
             # a subsidy is only ever paid to a player others link to; plans
             # wasting budget capacity on an unlinked player are never optimal
             continue
-        w = welfare(prof, trial)[0]
         if best is None or w > best[0] + 1e-9:
             best = (w, spent, v, prof)
         elif abs(w - best[0]) <= 1e-9:

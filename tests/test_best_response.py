@@ -25,6 +25,7 @@ from netpublic import (
 from netpublic.best_response import (
     _KERNEL_CHUNK,
     _candidate_table,
+    _deviations,
     _link_gain,
     _responses,
     _subset_members,
@@ -344,6 +345,25 @@ def test_deviation_found_for_zero_contributions():
     assert dev.player == 0
     assert dev.new_links == ()
     assert dev.new_y == pytest.approx(params.y_hat[0], abs=1e-12)
+
+
+def test_deviation_search_fails_loudly_on_a_nan_utility():
+    # StrategyProfile rejects NaN, so the states enter through the array
+    # seam: links are too dear here, so isolation is an equilibrium, and a
+    # NaN would compare as "no deviation"
+    params = _params([0.0, 0.5, 1.0], k=5.0)
+    X, Y = np.tile(params.x_hat, (2, 1)), np.tile(params.y_hat, (2, 1))
+    G, game = np.zeros((2, 3, 3), dtype=np.int8), np.zeros(2, dtype=int)
+    assert _deviations(params, game, X, Y, G) == [None, None]
+    # the spillover product carries player 2's NaN x into every current
+    # utility of row 1, and player 0, who ignores x, passes it by
+    X[1, 2] = np.nan
+    with pytest.raises(ValueError, match="player 1 has a NaN utility in profile row 1"):
+        _deviations(params, game, X, Y, G)
+    # a current utility of -inf (player 0 consumes no y) is a deviation
+    X[1, 2], Y[1, 0] = params.x_hat[2], 0.0
+    found = _deviations(params, game, X, Y, G)
+    assert found[0] is None and found[1].player == 0 and found[1].utility_gain == np.inf
 
 
 def _deviation_reference(profile, params, mode):

@@ -10,6 +10,7 @@ from scipy import optimize
 from netpublic import (
     EPS_DEV,
     BenefitSpec,
+    Deviation,
     DynamicsConfig,
     EquilibriumReport,
     GameParams,
@@ -532,7 +533,7 @@ def test_attach_to_core_matches_reference_loop(family):
         start = StrategyProfile(x, y, g)
         want, got = start.copy(), start.copy()
         _attach_to_core_reference(want, core, params)
-        eq._attach_to_core(got, core, params)
+        eq._attach_to_core(got.x, got.y, got.g, core, params)
         assert np.array_equal(got.g, want.g), (trial, core)
         assert np.array_equal(got.x, want.x), (trial, core)
         assert np.array_equal(got.y, want.y), (trial, core)
@@ -846,13 +847,14 @@ def test_independent_repair_joins_the_dynamics_batch(monkeypatch, game, search):
 
     monkeypatch.setattr(eq, "_dynamics", counting)
     monkeypatch.setattr(eq, "_responses", recording)
-    candidates = next(eq._candidates([params]))
+    X, Y, G, _, _, order = eq._candidates([params])
     starts = [("random_permutation", s) for s in range(eq._DYNAMICS_STARTS)]
     assert calls == [starts + [("round_robin", 0)]]
     assert searches == {search}
     monkeypatch.undo()
-    assert candidates[1][0].g.tobytes() == construct_independent(params).g.tobytes()
-    assert candidates[1][0].x.tobytes() == construct_independent(params).x.tobytes()
+    independent = order[1]  # the second candidate
+    assert G[independent].tobytes() == construct_independent(params).g.tobytes()
+    assert X[independent].tobytes() == construct_independent(params).x.tobytes()
 
 
 def test_game_batch_rejects_mixed_sizes_and_families():
@@ -1095,6 +1097,19 @@ def test_fixed_point_rejects_graphs_with_several_fixed_points():
         contribution_fixed_point(g, params)
 
 
+def test_oracle_nash_check_fails_loudly_on_a_nan_utility():
+    # player 0 reaches player 2's NaN provision in every subset with a link
+    # to 2, which would otherwise compare as "no deviation"
+    params = _params([0.0, 0.5, 1.0], k=5.0)
+    X, Y = np.tile(params.x_hat, (2, 1)), np.tile(params.y_hat, (2, 1))
+    G = np.zeros((2, 3, 3))
+    assert eq._nash_stable(G, X, Y, params, two_way=False).tolist() == [True, True]
+    X[1, 2] = np.nan
+    for two_way in (False, True):
+        with pytest.raises(ValueError, match="player 0 has a NaN utility in profile row 1"):
+            eq._nash_stable(G, X, Y, params, two_way)
+
+
 def test_brute_force_profiles_share_no_memory():
     # returned profiles must not pin the block arrays they were computed in
     params = _params([0.0, 0.1, 0.9, 1.0], k=0.1)
@@ -1110,19 +1125,26 @@ def test_brute_force_profiles_share_no_memory():
 # lazy verification against the eager scan
 # ----------------------------------------------------------------------
 
+def _one(prof):
+    """A profile as the stack of one, game 0, that the lazy scan's seams take."""
+    return np.zeros(1, dtype=int), prof.x[None], prof.y[None], prof.g[None]
+
+
 def _eager_scan(candidates, params):
-    """Verify every candidate in order; ties to Independent, then fewer contributors."""
+    """Verify every candidate in order; ties to Independent, then fewer
+    contributors.  Verification and welfare go through the seams the lazy
+    scan calls, which unpatched are verify_nash and metrics.welfare."""
     best = None
     seen = set()
     for prof in candidates:
-        key = eq._profile_key(prof)
+        key = prof.g.tobytes() + np.round(prof.x, 10).tobytes() + np.round(prof.y, 10).tobytes()
         if key in seen:
             continue
         seen.add(key)
-        report = eq.verify_nash(prof, params)
-        if report.classification == "NonEquilibrium":
+        if eq._deviations(params, *_one(prof))[0] is not None:
             continue
-        w = eq.welfare(prof, params)[0]
+        report = eq.classify(prof)
+        w = eq._welfare_totals(params, *_one(prof))[0]
         if best is None or w > best[0] + eq._WELFARE_TIE_TOL:
             best = (w, prof, report)
         elif abs(w - best[0]) <= eq._WELFARE_TIE_TOL:
@@ -1191,6 +1213,52 @@ def test_lazy_welfare_max_matches_eager_scan(game):
     assert report.contributors == ref_report.contributors
 
 
+def _rounds_games():
+    """Three n = 12 log games whose own lazy scans verify 3, 2 and 1
+    profiles: the first two rank profiles that fail verification first."""
+    log = BenefitSpec.log()
+    first = GameParams(
+        np.array([0.0, 0.0905, 0.2125, 0.213, 0.276, 0.3307, 0.3733, 0.5953, 0.7886, 0.8009,
+                  0.8207, 1.0]), 1.0213, 0.2667, log,
+        np.array([0.6658, 0.6329, 0.9079, 1.457, 1.4901, 0.6162, 1.1186, 0.5162, 1.1914, 1.15,
+                  1.0346, 0.7947]))
+    second = GameParams(
+        np.array([0.0, 0.0904, 0.0936, 0.288, 0.466, 0.4698, 0.5757, 0.8908, 0.9024, 0.9381,
+                  0.9798, 1.0]), 1.7694, 0.1829, log,
+        np.array([1.7525, 2.2339, 1.1903, 1.4976, 1.7416, 2.5359, 2.6378, 1.6844, 1.0344, 0.8937,
+                  1.6972, 2.0272]))
+    return [first, second, first.with_k(0.5)]
+
+
+def test_group_rounds_verify_each_games_own_profiles(monkeypatch):
+    # each round's one deviation search takes the best-ranked unverified
+    # profile of every game still scanning: all three games, then the two
+    # whose profile failed, then the one that failed twice
+    games = _rounds_games()
+    real, searches = eq._deviations, []
+
+    def recording(params, game, X, Y, G):
+        searches.append([(int(g), x.tobytes() + y.tobytes() + links.tobytes())
+                         for g, x, y, links in zip(game, X, Y, G)])
+        return real(params, game, X, Y, G)
+
+    monkeypatch.setattr(eq, "_deviations", recording)
+    alone = []
+    for params in games:
+        searches.clear()
+        alone.append((welfare_max_equilibrium(params), [p for s in searches for _, p in s]))
+    assert [len(verified) for _, verified in alone] == [3, 2, 1]
+    searches.clear()
+    together = list(welfare_max_equilibria(games))
+    assert [[g for g, _ in s] for s in searches if s] == [[0, 1, 2], [0, 1], [0]]
+    for g, ((prof, report), ((want, want_report), verified)) in enumerate(zip(together, alone)):
+        assert prof.g.tobytes() == want.g.tobytes()
+        assert prof.x.tobytes() == want.x.tobytes() and prof.y.tobytes() == want.y.tobytes()
+        assert report.classification == want_report.classification
+        assert report.contributors == want_report.contributors
+        assert sorted(p for s in searches for h, p in s if h == g) == sorted(verified)
+
+
 def _dummy(i):
     """A distinct 3-player profile per index; only its profile key matters."""
     return StrategyProfile(np.array([float(i), 0.0, 0.0]), np.zeros(3), np.zeros((3, 3)))
@@ -1205,17 +1273,29 @@ def _scripted(monkeypatch, tagged, scripted):
 
     calls = []
 
-    def fake_verify(prof, params):
-        calls.append(int(prof.x[0]))
+    def fake_deviations(params, game, X, Y, G):
+        # a scripted NonEquilibrium fails verification; anything else holds
+        calls.extend(int(x[0]) for x in X)
+        return [Deviation(0, (), 0.0, 0.0, 1.0) if scripted[int(x[0])][1] == "NonEquilibrium"
+                else None for x in X]
+
+    def fake_classify(prof):
         _, label, contributors = lookup(prof)
         return EquilibriumReport(label, contributors, (), ())
 
-    monkeypatch.setattr(eq, "_candidates", lambda games: [list(tagged)])
-    monkeypatch.setattr(eq, "verify_nash", fake_verify)
-    monkeypatch.setattr(eq, "welfare", lambda prof, params: (lookup(prof)[0], 0.0))
+    stack = [np.stack([p.x for p, _ in tagged]), np.stack([p.y for p, _ in tagged]),
+             np.stack([p.g for p, _ in tagged])]
+    tags = [tag for _, tag in tagged]
+    order = np.arange(len(tagged))
+    monkeypatch.setattr(eq, "_candidates",
+                        lambda games: (*stack, np.zeros(len(tagged), dtype=int), tags, order))
+    monkeypatch.setattr(eq, "_deviations", fake_deviations)
+    monkeypatch.setattr(eq, "classify", fake_classify)
+    monkeypatch.setattr(eq, "_welfare_totals",
+                        lambda params, game, X, Y, G: np.array([scripted[int(x[0])][0] for x in X]))
     params = _params([0.0, 0.5, 1.0])
     # the eager list holds only templates that pass their class check
-    eager = [p for p, tag in tagged if tag is None or fake_verify(p, params).classification == tag]
+    eager = [p for p, tag in tagged if tag is None or fake_classify(p).classification == tag]
     want = _eager_scan(eager, params)
     calls.clear()
     return params, want, calls

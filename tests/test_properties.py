@@ -2,8 +2,9 @@
 of its one-way and two-way Nash checks on symmetric digraphs, of the
 batched exact best response against full subset enumeration, of the
 batched structural best response against the scalar search it replaced, of
-both modes of the pruned kernel against the unpruned one, and of a batch of
-games against each game solved alone."""
+both modes of the pruned kernel against the unpruned one, of a batch of
+games against each game solved alone, and of a game group's welfare pass and
+deviation search against the one-profile calls."""
 
 import itertools
 import json
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from netpublic import (
     EPS_DEV,
+    BenefitSpec,
     GameParams,
     StrategyProfile,
     best_response,
@@ -29,13 +31,18 @@ from netpublic import (
 )
 from netpublic import cli
 from netpublic import equilibrium as eq
+from netpublic import metrics
 from netpublic.best_response import (
+    _KERNEL_CHUNK,
+    _deviations,
     _link_gain,
     _responses,
     _subset_matrix,
     _subset_members,
     _top_up,
 )
+from netpublic.metrics import _welfare_totals, welfare
+from netpublic.model import _GameStack
 from tests.conftest import FAMILIES, gross_utilities, unpruned_exact_responses
 
 # derandomized, so tier-1 runs the same examples every time
@@ -358,3 +365,69 @@ def test_game_batch_matches_each_games_own_solve(games):
         assert prof.x.tobytes() == want.x.tobytes() and prof.y.tobytes() == want.y.tobytes()
         assert report.classification == want_report.classification
         assert report.contributors == want_report.contributors
+
+
+def _assert_priced_like_welfare(games, X, Y, G, game):
+    """One group pass prices every profile row as metrics.welfare prices it
+    alone, and as per-player utility calls summed left to right, bit for bit."""
+    got = _welfare_totals(_GameStack.of(games), game, X, Y, G)
+    for r, g in enumerate(game.tolist()):
+        prof, params = StrategyProfile(X[r], Y[r], G[r]), games[g]
+        want = welfare(prof, params)[0]
+        summed = sum(utility(prof, i, params) for i in range(params.n))
+        assert got[r].tobytes() == np.float64(want).tobytes() == np.float64(summed).tobytes()
+    return got
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=15)
+@given(game_families())
+def test_group_welfare_pass_matches_welfare_bit_for_bit(games):
+    X, Y, G, game, _, _ = eq._candidates(games)
+    _assert_priced_like_welfare(games, X, Y, G, game)
+
+
+def test_group_welfare_pass_splits_within_its_row_bound_and_keeps_minus_inf(monkeypatch):
+    # 12 log games at n = 10 hold well over the 81 profiles of one pass
+    rng = np.random.default_rng(20261019)
+    types = np.array([0.0, *np.sort(rng.uniform(0.001, 0.999, 8)), 1.0])
+    games = [GameParams(types, 1.0, k, BenefitSpec.log()) for k in np.linspace(0.05, 0.6, 12)]
+    X, Y, G, game, _, _ = eq._candidates(games)
+    # and one dominated row: an interior player consumes no x
+    dominated = StrategyProfile.isolated(games[0])
+    dominated.x[4] = 0.0
+    X, Y, G = (np.concatenate([A, a[None]])
+               for A, a in ((X, dominated.x), (Y, dominated.y), (G, dominated.g)))
+    game = np.append(game, 0)
+    real, rows = metrics.utilities, []
+
+    def recording(params, players, X, Y, links):
+        rows.append(len(X))
+        return real(params, players, X, Y, links)
+
+    monkeypatch.setattr(metrics, "utilities", recording)
+    _welfare_totals(_GameStack.of(games), game, X, Y, G)
+    monkeypatch.undo()
+    assert len(rows) >= 2 and max(rows) <= max(10, _KERNEL_CHUNK // 10)
+    assert sum(rows) == 10 * len(X)
+    got = _assert_priced_like_welfare(games, X, Y, G, game)
+    assert got[-1] == -np.inf and np.isfinite(got[:-1]).all()
+
+
+def _holds_by_scalar_loop(prof, params):
+    """No player's best response beats their utility by more than EPS_DEV."""
+    return all(best_response(i, prof, params).utility <= utility(prof, i, params) + EPS_DEV
+               for i in range(params.n))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=12)
+@given(game_families())
+def test_group_deviation_search_matches_each_profile_alone(games):
+    # every profile row of a group (candidates and unsettled dynamics rows)
+    # in one search, each read in its own game
+    X, Y, G, game, _, _ = eq._candidates(games)
+    found = _deviations(_GameStack.of(games), game, X, Y, G)
+    for r, g in enumerate(game.tolist()):
+        prof, params = StrategyProfile(X[r], Y[r], G[r]), games[g]
+        assert found[r] == find_profitable_deviation(prof, params)
+        if params.n <= 8:
+            assert (found[r] is None) == _holds_by_scalar_loop(prof, params)
