@@ -51,26 +51,6 @@ class BestResponse:
     utility: float
 
 
-@lru_cache(maxsize=128)
-def _subset_matrix(m: int, cap: int | None) -> np.ndarray:
-    """All subsets of range(m) up to size cap, ordered by (size, lex).
-
-    Returned as a float matrix so that spillover sums are plain matmuls; the
-    ordering makes "first subset within tolerance of the maximum" implement
-    the fewest-links-then-lexicographic tie-break directly.
-    """
-    top = m if cap is None else min(cap, m)
-    rows = []
-    for size in range(top + 1):
-        for combo in itertools.combinations(range(m), size):
-            row = np.zeros(m)
-            row[list(combo)] = 1.0
-            rows.append(row)
-    mat = np.array(rows) if rows else np.zeros((1, 0))
-    mat.setflags(write=False)
-    return mat
-
-
 def optimal_contributions(
     i: int, links, profile: StrategyProfile, params: GameParams
 ) -> tuple[float, float]:
@@ -78,11 +58,8 @@ def optimal_contributions(
     links = list(links)
     if i in links:
         raise ValueError("a player cannot link to themselves")
-    x_bar = float(profile.x[links].sum())
-    y_bar = float(profile.y[links].sum())
-    xi = max(params.x_hat[i] - x_bar, 0.0)
-    yi = max(params.y_hat[i] - y_bar, 0.0)
-    return xi, yi
+    _, xi, yi = _top_up(i, float(profile.x[links].sum()), float(profile.y[links].sum()), params)
+    return float(xi), float(yi)
 
 
 def _top_up(i, x_bar, y_bar, params: GameParams):
@@ -179,7 +156,11 @@ def _candidate_table(mode: str, who, src, X, Y, indeg, params: GameParams):
 @lru_cache(maxsize=128)
 def _subset_members(m: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
     """Member slots (padded with slot m) and size of each subset of at most
-    cap of m slots, in the (size, lex) order of _subset_matrix."""
+    cap of m slots, ordered by (size, lex): the one enumeration of link
+    subsets.  The ordering makes "first subset within tolerance of the
+    maximum" implement the fewest-links-then-lexicographic tie-break
+    directly, and a caller that pads its slot values with a zero provision
+    adds each subset's spillovers left to right over the slot columns."""
     combos = [c for size in range(min(cap, m) + 1) for c in itertools.combinations(range(m), size)]
     width = max(1, min(cap, m))
     out = (np.array([c + (m,) * (width - len(c)) for c in combos]),

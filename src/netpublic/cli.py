@@ -8,6 +8,7 @@ failure.  Identical configs and seeds produce byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -28,7 +29,7 @@ from .extensions import (
 )
 from .model import TruncNormal, UNIFORM, GameParams, StrategyProfile, sample_types, validate_types
 from .subsidy import planner
-from .sweep import SweepRecord, _record_for, law_of_few_scan, sweep_k
+from .sweep import _record_for, law_of_few_scan, sweep_k
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -150,20 +151,14 @@ def _profile_from_payload(payload: dict, n: int) -> StrategyProfile:
     return StrategyProfile(np.asarray(payload["x"], float), np.asarray(payload["y"], float), g)
 
 
-def _record_payload(rec: SweepRecord) -> dict:
-    return {
-        "k": rec.k,
-        "classification": rec.classification,
-        "contributor_count": rec.contributor_count,
-        "welfare_sum": rec.welfare_sum,
-        "welfare_avg": rec.welfare_avg,
-        "polarization": rec.polarization,
-        "contributor_types": list(rec.contributor_types),
-    }
+def _write_json(path: str, body: dict) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(json.dumps(_round_sig(body), sort_keys=True, indent=1) + "\n")
 
 
-def emit_report(records, fmt: str, path: str, profiles=None, extra: dict | None = None) -> None:
-    """Write sweep-shaped records as CSV or JSON (12 significant digits)."""
+def emit_report(records, fmt: str, path: str, profiles=None) -> None:
+    """Write sweep-shaped records as CSV, or as JSON (12 significant digits)
+    with each record's profile where profiles are given."""
     if not records:
         raise ValueError("records must be non-empty")
     if fmt == "csv":
@@ -183,26 +178,16 @@ def emit_report(records, fmt: str, path: str, profiles=None, extra: dict | None 
                     ]
                 )
             )
-        payload = "\n".join(lines) + "\n"
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("\n".join(lines) + "\n")
     elif fmt == "json":
-        body = {"records": []}
-        for idx, rec in enumerate(records):
-            entry = _record_payload(rec)
-            if profiles is not None:
-                entry["profile"] = _profile_payload(profiles[idx])
-            body["records"].append(entry)
-        if extra:
-            body.update(extra)
-        payload = json.dumps(_round_sig(body), sort_keys=True, indent=1) + "\n"
+        entries = [dataclasses.asdict(rec) for rec in records]
+        if profiles is not None:
+            for entry, profile in zip(entries, profiles):
+                entry["profile"] = _profile_payload(profile)
+        _write_json(path, {"records": entries})
     else:
         raise ValueError(f"unknown format {fmt!r}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(payload)
-
-
-def _write_json(path: str, body: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(_round_sig(body), sort_keys=True, indent=1) + "\n")
 
 
 def _cmd_solve(cfg, params, k_grid, fmt, out):
@@ -210,7 +195,7 @@ def _cmd_solve(cfg, params, k_grid, fmt, out):
         raise ConfigError("solve takes a single k, not a grid")
     profile, report = welfare_max_equilibrium(params)
     rec = _record_for(params.k, profile, report, params)
-    emit_report([rec], fmt, out, profiles=[profile] if fmt == "json" else None)
+    emit_report([rec], fmt, out, profiles=[profile])
     return EXIT_STRUCTURE if rec.classification == STRUCTURE_VIOLATION else EXIT_OK
 
 
@@ -218,7 +203,7 @@ def _cmd_sweep(cfg, params, k_grid, fmt, out):
     if k_grid is None:
         raise ConfigError("sweep_k needs k_grid")
     records, profiles = sweep_k(params, k_grid, return_profiles=True)
-    emit_report(records, fmt, out, profiles=profiles if fmt == "json" else None)
+    emit_report(records, fmt, out, profiles=profiles)
     bad = any(r.classification == STRUCTURE_VIOLATION for r in records)
     return EXIT_STRUCTURE if bad else EXIT_OK
 
@@ -244,7 +229,7 @@ def _cmd_verify(cfg, params, k_grid, fmt, out):
         profiles.append(profile)
     if not records:
         raise ConfigError("no records to verify")
-    emit_report(records, fmt, out, profiles=profiles if fmt == "json" else None)
+    emit_report(records, fmt, out, profiles=profiles)
     bad = any(r.classification == STRUCTURE_VIOLATION for r in records)
     return EXIT_STRUCTURE if bad else EXIT_OK
 

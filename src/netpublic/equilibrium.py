@@ -23,7 +23,7 @@ from .best_response import (
     _link_gain,
     _responses,
     _search,
-    _subset_matrix,
+    _subset_members,
     _top_up,
     find_profitable_deviation,
 )
@@ -160,36 +160,33 @@ def _attach_to_core(x, y, g, core: tuple[int, ...], params: GameParams) -> None:
     """Give every non-core player of the profile (x, y, g) their best subset
     of links into the core, in place.
 
-    One array pass over all non-core players per link option, in (size, lex)
-    order, replacing a player's choice only when an option beats it by more
-    than EPS_DEV.  Players are independent here because links only point into
-    the core and the pass never changes the core's contributions.
+    One ``_top_up`` call prices every (non-core player, link option) pair:
+    the options are ``_subset_members`` of the core in (size, lex) order,
+    over the core's provisions padded with a zero slot, with each option's
+    spillovers added left to right.  A player then steps through the options
+    in that order and replaces their choice only when an option beats it by
+    more than EPS_DEV.  Players are independent here because links only
+    point into the core and the pass never changes the core's contributions.
     """
     core = sorted(core)
     outside = np.ones(params.n, dtype=bool)
     outside[core] = False
     others = np.flatnonzero(outside)
-    options = [links for r in range(len(core) + 1) for links in itertools.combinations(core, r)]
-    best_u = np.full(others.size, -np.inf)
-    best_opt = np.zeros(others.size, dtype=int)
-    best_x, best_y = params.x_hat[others], params.y_hat[others]
-    for o, links in enumerate(options):
-        gross, xi, yi = _top_up(
-            others, float(x[list(links)].sum()), float(y[list(links)].sum()), params
-        )
-        u = gross - params.k * len(links)
-        better = u > best_u + EPS_DEV
-        best_u[better] = u[better]
-        best_opt[better] = o
-        best_x[better] = xi[better]
-        best_y[better] = yi[better]
-    g[others] = 0
-    for o, links in enumerate(options):
-        rows = others[best_opt == o]
-        for j in links:
-            g[rows, j] = 1
-    x[others] = best_x
-    y[others] = best_y
+    slots, sizes = _subset_members(len(core), len(core))
+    xs, ys = np.append(x[core], 0.0), np.append(y[core], 0.0)
+    x_bar, y_bar = xs[slots[:, 0]], ys[slots[:, 0]]
+    for col in slots.T[1:]:
+        x_bar, y_bar = x_bar + xs[col], y_bar + ys[col]
+    gross, xi, yi = _top_up(others[:, None], x_bar, y_bar, params)
+    pick, best = np.zeros(others.size, dtype=int), np.full(others.size, -np.inf)
+    for o, u in enumerate((gross - params.k * sizes).T):
+        better = u > best + EPS_DEV
+        pick[better], best[better] = o, u[better]
+    links = np.zeros((others.size, params.n + 1), dtype=g.dtype)
+    links[np.arange(others.size)[:, None], np.append(core, params.n)[slots[pick]]] = 1
+    g[others] = links[:, :-1]
+    at = np.arange(others.size), pick
+    x[others], y[others] = xi[at], yi[at]
 
 
 def _core_links_pay(params: GameParams, a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -392,8 +389,9 @@ def _nash_stable(
     this way against 1.44-1.59 ms through the kernel, with the same verdicts.
     """
     m, n = X.shape
-    subsets = _subset_matrix(n - 1, None)
-    fees = params.k * subsets.sum(axis=1)
+    slots, sizes = _subset_members(n - 1, n - 1)
+    subsets = (slots[:, :, None] == np.arange(n - 1)).any(axis=1).astype(float)
+    fees = params.k * sizes
     weights = 2.0 ** np.arange(n - 1)
     row_of = np.argsort(subsets @ weights)  # the subset row of each link mask
     # player i pays for the provision paid[r, i] reaches and gets free[r, i]
@@ -527,16 +525,13 @@ def verify_nash(profile: StrategyProfile, params: GameParams) -> EquilibriumRepo
 # best-response dynamics and the welfare-maximal equilibrium
 # ----------------------------------------------------------------------
 
-def _dynamics(
-    X: np.ndarray, Y: np.ndarray, G: np.ndarray, games: list[GameParams],
-    configs: list[DynamicsConfig],
-) -> np.ndarray:
+def _dynamics(params, game, X, Y, G, configs: list[DynamicsConfig]) -> np.ndarray:
     """Best-response dynamics from every start (X[r], Y[r], G[r]) at once,
     stepped in lockstep, in place; returns which rows settled.
 
-    Row r plays games[r]; the games share n and the benefit family, and rows
-    of one game pass the same GameParams.  Row r replays the sequential run
-    from its start under configs[r]: each round draws its player order from
+    Row r plays game game[r] of params (parameter index game * n + i), as
+    in ``_deviations``.  Row r replays the sequential run from its start
+    under configs[r]: each round draws its player order from
     PCG64(seed) (a fresh permutation per round, or index order for round
     robin), and the players best-respond one at a time, adopting a response
     that beats their current utility by more than EPS_DEV.  Rows drawing from
@@ -554,11 +549,7 @@ def _dynamics(
     changes nothing; a row still changing after max_rounds rounds stops
     where it stands, unsettled.
     """
-    b = len(X)
-    index: dict[int, int] = {}
-    game = np.array([index.setdefault(id(g), len(index)) for g in games])
-    params = _GameStack.of(list({id(g): g for g in games}.values()))
-    n, search = params.n, _search(params.n)
+    b, n, search = len(X), params.n, _search(params.n)
     base = game * n  # parameter index of each row's player 0
     indeg = G.sum(axis=1)
     drawn = np.array([c.order == RANDOM_PERMUTATION for c in configs])
@@ -608,7 +599,7 @@ def best_response_dynamics(
     round budget runs out first.
     """
     X, Y, G = start.x[None].copy(), start.y[None].copy(), start.g[None].copy()
-    if not _dynamics(X, Y, G, [params], [config])[0]:
+    if not _dynamics(params, np.zeros(1, dtype=int), X, Y, G, [config])[0]:
         raise NonConvergenceError("best-response dynamics did not settle")
     return StrategyProfile(X[0], Y[0], G[0])
 
@@ -647,11 +638,12 @@ def _moderate_side_candidates(params: GameParams) -> tuple[np.ndarray, np.ndarra
 
 def _candidates(games: list[GameParams]):
     """The unverified candidates of a group of games as rows of one stack:
-    X, Y, G, each row's game and tag (the class a template needs, else
-    None), and the candidates' rows in candidate order.  The stack opens
-    with one lockstep dynamics batch: per game, the seeded starts (isolated,
-    then anchored) and the repair of the greedy independent profile
-    (construct_independent; the greedy profile where it does not settle).
+    the group's _GameStack, X, Y, G, each row's game and tag (the class a
+    template needs, else None), and the candidates' rows in candidate
+    order.  The stack opens with one lockstep dynamics batch: per game, the
+    seeded starts (isolated, then anchored) and the repair of the greedy
+    independent profile (construct_independent; the greedy profile where it
+    does not settle).
     Each game's candidates: the isolated profile, the independent one, the
     templates in (above, below) order, partial before collaborative, and the
     settled dynamics rows."""
@@ -671,7 +663,8 @@ def _candidates(games: list[GameParams]):
         X[lo + 1 : repair], Y[lo + 1 : repair], G[lo + 1 : repair] = _anchored_starts(params)
         X[repair], Y[repair], G[repair] = greedy[g].x, greedy[g].y, greedy[g].g
     seeded = [DynamicsConfig(order=RANDOM_PERMUTATION, seed=s) for s in range(_DYNAMICS_STARTS)]
-    done = _dynamics(X[:size], Y[:size], G[:size], [p for p in games for _ in range(per)],
+    stack = _GameStack.of(games)
+    done = _dynamics(stack, np.array(game), X[:size], Y[:size], G[:size],
                      [c for _ in games for c in seeded + [DynamicsConfig()]])
     order = []
     for g, (params, templates) in enumerate(zip(games, cores)):
@@ -685,7 +678,7 @@ def _candidates(games: list[GameParams]):
             _template(X[t], Y[t], G[t], params, a, b, tags[t])
         settled = g * per + np.flatnonzero(done[g * per : repair])
         order += [row, repair, *range(row + 1, len(game)), *settled.tolist()]
-    return X, Y, G, np.array(game), tags, np.array(order)
+    return stack, X, Y, G, np.array(game), tags, np.array(order)
 
 
 def welfare_max_equilibria(
@@ -750,8 +743,7 @@ def _welfare_max(
     best-ranked unverified distinct profile goes into one ``_deviations``
     search, so each game verifies what its own scan would.  Only profiles
     that verify (for ``classify``) and the answers become StrategyProfiles."""
-    X, Y, G, game, tags, order = _candidates(games)
-    params = _GameStack.of(games)
+    params, X, Y, G, game, tags, order = _candidates(games)
     w = _welfare_totals(params, game, X, Y, G)
     ranked = []  # per game: (welfare, candidate rows) of each distinct profile, best first
     for g in range(len(games)):
@@ -766,10 +758,10 @@ def _welfare_max(
                                   key=lambda item: -item[0])))
     accepted: list[list[tuple[int, EquilibriumReport]]] = [[] for _ in games]
     lowest, live = [np.inf] * len(games), list(range(len(games)))
-    while live:
-        heads = ((g, next(ranked[g], (None, None))) for g in live)
-        heads = [(g, members) for g, (top, members) in heads if members is not None
-                 and not (accepted[g] and top < lowest[g] - _WELFARE_TIE_TOL)]
+    # each live game's next head, while it can still beat or tie an accepted one
+    while heads := [(g, members) for g in live for top, members in [next(ranked[g], (None, None))]
+                    if members is not None
+                    and not (accepted[g] and top < lowest[g] - _WELFARE_TIE_TOL)]:
         live = [g for g, _ in heads]
         rows = np.array([members[0] for _, members in heads], dtype=int)
         found = _deviations(params, game[rows], X[rows], Y[rows], G[rows])

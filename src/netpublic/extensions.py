@@ -8,14 +8,13 @@ complementarity and cost shocks (perturbed).
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .best_response import _top_up
+from .best_response import _subset_members, _top_up
 from .equilibrium import NonConvergenceError, _oracle
 from .model import EPS_DEV, GameParams, StrategyProfile, gross_value
 
@@ -388,17 +387,16 @@ def _perturbed_best_utility(
     max_depth = 1 if pert.eps3 == 0.0 else n - 1
     trial = profile.copy()
     best = -np.inf
-    others = [j for j in range(n) if j != i]
-    for r in range(len(others) + 1):
-        for combo in itertools.combinations(others, r):
-            trial.g[i] = 0
-            trial.g[i, list(combo)] = 1
-            shells = _distance_shells(trial.g, i, max_depth)
-            sx = [profile.x[s] for s in shells]
-            sy = [profile.y[s] for s in shells]
-            trial.x[i] = _solve_good(t, cost, sx, pert, params.benefit, params.x_hat[i])
-            trial.y[i] = _solve_good(1.0 - t, cost, sy, pert, params.benefit, params.y_hat[i])
-            best = max(best, utility_perturbed(trial, i, params, pert))
+    others = np.delete(np.arange(n), i)
+    for row in _subset_members(n - 1, n - 1)[0]:
+        trial.g[i] = 0
+        trial.g[i, others[row[row < n - 1]]] = 1
+        shells = _distance_shells(trial.g, i, max_depth)
+        sx = [profile.x[s] for s in shells]
+        sy = [profile.y[s] for s in shells]
+        trial.x[i] = _solve_good(t, cost, sx, pert, params.benefit, params.x_hat[i])
+        trial.y[i] = _solve_good(1.0 - t, cost, sy, pert, params.benefit, params.y_hat[i])
+        best = max(best, utility_perturbed(trial, i, params, pert))
     return best
 
 

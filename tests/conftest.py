@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -25,16 +27,28 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+def subset_matrix(m: int, cap: int | None = None) -> np.ndarray:
+    """Every subset of range(m) of at most cap members (any number when cap
+    is None) as a 0/1 float row, in (size, lex) order: an enumeration of
+    the tests' own, apart from the package's."""
+    top = m if cap is None else min(cap, m)
+    combos = [c for size in range(top + 1) for c in itertools.combinations(range(m), size)]
+    mat = np.zeros((len(combos), m))
+    for r, combo in enumerate(combos):
+        mat[r, list(combo)] = 1.0
+    return mat
+
+
 def unpruned_exact_responses(players, X, Y, params):
     """The exact best-response kernel before the pruned candidate table:
     every subset of a row's n - 1 opponents in (size, lex) order, subset
     sums as one stacked 1 x (n - 1) product per row, the first subset within
     EPS_DEV of the maximum.  Returns link rows, x, y and utility."""
-    from netpublic.best_response import _subset_matrix, _top_up
+    from netpublic.best_response import _top_up
     from netpublic.model import EPS_DEV
 
     b, n = X.shape
-    subsets = _subset_matrix(n - 1, None)
+    subsets = subset_matrix(n - 1)
     cand = np.array([[j for j in range(n) if j != i] for i in players])
     rows = np.arange(b)[:, None]
     gross, xi, yi = _top_up(players[:, None], (X[rows, cand][:, None] @ subsets.T)[:, 0],

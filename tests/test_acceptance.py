@@ -16,11 +16,10 @@ import numpy as np
 
 import netpublic as npub
 from netpublic import BenefitSpec, GameParams, StrategyProfile, TruncNormal, UNIFORM
-from netpublic.best_response import _subset_matrix
 from netpublic.cli import main as cli_main
 from netpublic.metrics import welfare
 from netpublic.model import EPS_NUM
-from tests.conftest import gross_utilities
+from tests.conftest import gross_utilities, subset_matrix
 
 
 @contextmanager
@@ -94,7 +93,7 @@ def _strictness(prof: StrategyProfile, params: GameParams) -> float:
     gap = np.inf
     for i in range(params.n):
         cand = np.array([j for j in range(params.n) if j != i])
-        subsets = _subset_matrix(len(cand), None)
+        subsets = subset_matrix(len(cand))
         current_links = frozenset(int(v) for v in prof.links_of(i))
         util, _, _ = gross_utilities(i, cand, subsets, prof, params)
         cur = npub.utility(prof, i, params)

@@ -37,6 +37,7 @@ from netpublic import (
 )
 from netpublic import equilibrium as eq
 from netpublic.metrics import welfare
+from netpublic.model import _GameStack
 from tests.conftest import FAMILIES, random_scenario, random_types
 
 
@@ -714,12 +715,16 @@ def _dense_start(params):
 
 
 def _run_dynamics(starts, games, configs):
-    """_dynamics on stacked copies of the starts: each row's profile where it
-    settled, None where it ran out of rounds."""
+    """_dynamics on stacked copies of the starts, row r playing games[r] (the
+    distinct games, by identity, stacked in order of first use): each row's
+    profile where it settled, None where it ran out of rounds."""
     X = np.array([s.x for s in starts])
     Y = np.array([s.y for s in starts])
     G = np.array([s.g for s in starts])
-    settled = eq._dynamics(X, Y, G, games, configs)
+    index: dict[int, int] = {}
+    game = np.array([index.setdefault(id(g), len(index)) for g in games])
+    stack = _GameStack.of(list({id(g): g for g in games}.values()))
+    settled = eq._dynamics(stack, game, X, Y, G, configs)
     return [StrategyProfile(x, y, g) if ok else None for x, y, g, ok in zip(X, Y, G, settled)]
 
 
@@ -837,9 +842,9 @@ def test_independent_repair_joins_the_dynamics_batch(monkeypatch, game, search):
     calls, searches = [], set()
     real, real_responses = eq._dynamics, eq._responses
 
-    def counting(X, Y, G, games, configs):
+    def counting(params, game, X, Y, G, configs):
         calls.append([(c.order, c.seed) for c in configs])
-        return real(X, Y, G, games, configs)
+        return real(params, game, X, Y, G, configs)
 
     def recording(mode, *args):
         searches.add(mode)
@@ -847,7 +852,7 @@ def test_independent_repair_joins_the_dynamics_batch(monkeypatch, game, search):
 
     monkeypatch.setattr(eq, "_dynamics", counting)
     monkeypatch.setattr(eq, "_responses", recording)
-    X, Y, G, _, _, order = eq._candidates([params])
+    _, X, Y, G, _, _, order = eq._candidates([params])
     starts = [("random_permutation", s) for s in range(eq._DYNAMICS_STARTS)]
     assert calls == [starts + [("round_robin", 0)]]
     assert searches == {search}
@@ -1259,6 +1264,25 @@ def test_group_rounds_verify_each_games_own_profiles(monkeypatch):
         assert sorted(p for s in searches for h, p in s if h == g) == sorted(verified)
 
 
+def test_group_rounds_make_no_empty_search(monkeypatch, rng):
+    # the rounds end once no game has a profile left to verify, so each
+    # deviation search of a group gets at least one profile
+    real, sizes = eq._deviations, []
+
+    def recording(params, game, X, Y, G):
+        sizes.append(len(X))
+        return real(params, game, X, Y, G)
+
+    monkeypatch.setattr(eq, "_deviations", recording)
+    assert len(list(welfare_max_equilibria(_rounds_games()))) == 3
+    assert sizes == [3, 2, 1]
+    base = random_scenario(rng, 8)
+    sizes.clear()
+    family = [base.with_k(base.k * f) for f in (0.5, 1.0, 1.5, 2.0)]
+    assert len(list(welfare_max_equilibria(family))) == 4
+    assert sizes and min(sizes) >= 1 and sizes[0] == 4
+
+
 def _dummy(i):
     """A distinct 3-player profile per index; only its profile key matters."""
     return StrategyProfile(np.array([float(i), 0.0, 0.0]), np.zeros(3), np.zeros((3, 3)))
@@ -1288,7 +1312,8 @@ def _scripted(monkeypatch, tagged, scripted):
     tags = [tag for _, tag in tagged]
     order = np.arange(len(tagged))
     monkeypatch.setattr(eq, "_candidates",
-                        lambda games: (*stack, np.zeros(len(tagged), dtype=int), tags, order))
+                        lambda games: (None, *stack, np.zeros(len(tagged), dtype=int), tags,
+                                       order))
     monkeypatch.setattr(eq, "_deviations", fake_deviations)
     monkeypatch.setattr(eq, "classify", fake_classify)
     monkeypatch.setattr(eq, "_welfare_totals",

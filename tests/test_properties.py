@@ -37,13 +37,12 @@ from netpublic.best_response import (
     _deviations,
     _link_gain,
     _responses,
-    _subset_matrix,
     _subset_members,
     _top_up,
 )
 from netpublic.metrics import _welfare_totals, welfare
 from netpublic.model import _GameStack
-from tests.conftest import FAMILIES, gross_utilities, unpruned_exact_responses
+from tests.conftest import FAMILIES, gross_utilities, subset_matrix, unpruned_exact_responses
 
 # derandomized, so tier-1 runs the same examples every time
 ORACLE_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=30)
@@ -230,7 +229,7 @@ def _structural_reference(i, x, y, receivers, params):
     cand[top[top != i][:4]] = True
     cand[i] = False
     cand = np.flatnonzero(cand)
-    subsets = _subset_matrix(len(cand), 3)
+    subsets = subset_matrix(len(cand), 3)
     profile = StrategyProfile(x, y, np.zeros((params.n, params.n)))
     util, xi, yi = gross_utilities(i, cand, subsets, profile, params)
     idx = int(np.argmax(util >= np.max(util) - EPS_DEV))
@@ -382,7 +381,7 @@ def _assert_priced_like_welfare(games, X, Y, G, game):
 @settings(derandomize=True, database=None, deadline=None, max_examples=15)
 @given(game_families())
 def test_group_welfare_pass_matches_welfare_bit_for_bit(games):
-    X, Y, G, game, _, _ = eq._candidates(games)
+    _, X, Y, G, game, _, _ = eq._candidates(games)
     _assert_priced_like_welfare(games, X, Y, G, game)
 
 
@@ -391,7 +390,7 @@ def test_group_welfare_pass_splits_within_its_row_bound_and_keeps_minus_inf(monk
     rng = np.random.default_rng(20261019)
     types = np.array([0.0, *np.sort(rng.uniform(0.001, 0.999, 8)), 1.0])
     games = [GameParams(types, 1.0, k, BenefitSpec.log()) for k in np.linspace(0.05, 0.6, 12)]
-    X, Y, G, game, _, _ = eq._candidates(games)
+    _, X, Y, G, game, _, _ = eq._candidates(games)
     # and one dominated row: an interior player consumes no x
     dominated = StrategyProfile.isolated(games[0])
     dominated.x[4] = 0.0
@@ -424,7 +423,7 @@ def _holds_by_scalar_loop(prof, params):
 def test_group_deviation_search_matches_each_profile_alone(games):
     # every profile row of a group (candidates and unsettled dynamics rows)
     # in one search, each read in its own game
-    X, Y, G, game, _, _ = eq._candidates(games)
+    _, X, Y, G, game, _, _ = eq._candidates(games)
     found = _deviations(_GameStack.of(games), game, X, Y, G)
     for r, g in enumerate(game.tolist()):
         prof, params = StrategyProfile(X[r], Y[r], G[r]), games[g]
