@@ -2,15 +2,15 @@
 
 Contributions given a fixed link set have a closed form (top up each good to
 its isolation demand), so a best response reduces to a search over link sets.
-The search follows from n (``_search``): exact, over every subset of the
-opponents, while all 2^(n-1) of them fit one kernel pass (n <= 14), and
-structural above that, over plausible targets (current link receivers plus
-the largest providers) and at most three links, which is what equilibrium
-structure says sponsors actually use.  Both drop every target whose
-standalone link gain cannot cover k, which provably changes no answer.
-Both run one array kernel over a stack of rows: ``best_response`` is its
-batch of one, and ``_deviations`` (find_profitable_deviation on a stack of
-profiles) one call per block of (profile, player) rows.
+The one search takes subsets of at most L of the receivers plus the P
+largest providers, as equilibrium sponsors link a few specialised providers.
+Its breadth follows from n (``_breadth``): every opponent and any number of
+links, an exact search, while all 2^(n-1) subsets fit one kernel pass
+(n <= 14), and (P, L) = (4, 3) above.  It drops every target whose link gain
+cannot cover k, which provably changes no answer.  One array kernel runs it
+over a stack of rows: ``best_response`` is its batch of one, and
+``_deviations`` (find_profitable_deviation on a stack of profiles) one call
+per block of (profile, player) rows.
 """
 
 from __future__ import annotations
@@ -23,13 +23,8 @@ import numpy as np
 
 from .model import EPS_DEV, GameParams, StrategyProfile, gross_value, utilities
 
-EXACT = "exact"
-STRUCTURAL = "structural"
-
 # bounds temporaries: rows x subsets per pass, players x n per deviation block or window row
 _KERNEL_CHUNK = 1 << 13
-_STRUCTURAL_TOP_PROVIDERS = 4
-_STRUCTURAL_MAX_LINKS = 3
 
 
 @dataclass
@@ -120,29 +115,30 @@ def _link_gain(i, x_prov, y_prov, params: GameParams):
     return save + jump_x + jump_y
 
 
-def _candidate_table(mode: str, who, src, X, Y, indeg, params: GameParams):
+def _candidate_table(who, src, X, Y, indeg, params: GameParams, providers: int):
     """Candidates of the player with parameter index who[r] against state
     row src[r], in index order, and their count per row.
 
-    Exact mode offers every opponent; structural mode the receivers
-    (indeg > 0) and the largest providers by x + y (ranked once per state
-    row, ties to the lower index).  Either way the player and every target
-    whose ``_link_gain`` is at most k - EPS_DEV are dropped.  Rows are padded
-    with n past the largest count, so every row ends in n."""
+    The candidates are the receivers (indeg > 0) and the ``providers``
+    largest providers by x + y (ranked once per state row, ties to the lower
+    index), less the player and every target whose ``_link_gain`` is at most
+    k - EPS_DEV.  At providers >= n - 1 that is every opponent, and the
+    ranking is skipped.  Rows are padded with n past the largest count, so
+    every row ends in n."""
     b, n = len(who), X.shape[1]
     players = who % n
-    if mode == STRUCTURAL:
+    if providers >= n - 1:
+        cand = np.ones((b, n), dtype=bool)
+    else:
         provision, top = X + Y, []
-        for _ in range(min(_STRUCTURAL_TOP_PROVIDERS + 1, n)):  # argmax: first among ties
+        for _ in range(providers + 1):  # argmax: first among ties
             top.append(np.argmax(provision, axis=1))
             provision[np.arange(len(X)), top[-1]] = -np.inf
         top = np.stack(top, axis=1)[src]
         keep = top != players[:, None]
-        keep &= np.cumsum(keep, axis=1) <= _STRUCTURAL_TOP_PROVIDERS
+        keep &= np.cumsum(keep, axis=1) <= providers
         cand = indeg[src] > 0
         cand[np.nonzero(keep)[0], top[keep]] = True
-    else:
-        cand = np.ones((b, n), dtype=bool)
     cand[np.arange(b), players] = False
     r, j = np.nonzero(cand)
     pays = _link_gain(who[r], X[src[r], j], Y[src[r], j], params) > params.k_vec[who[r]] - EPS_DEV
@@ -170,23 +166,30 @@ def _subset_members(m: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
     return out
 
 
-def _subset_count(mode: str, m):
-    """How many subsets the kernel enumerates for m candidates (m may be an
-    array): all of them in exact mode, those of at most 3 in structural."""
-    if mode == EXACT:
+def _subset_count(m, cap: int):
+    """Subsets of at most cap of m candidates (m may be an integer array):
+    the sum of C(m, s) over s <= cap, which is 2^m at cap >= m."""
+    if np.all(m <= cap):
         return 1 << m
-    pairs = m * (m - 1) // 2
-    return 1 + m + pairs + pairs * (m - 2) // 3
+    total = term = np.ones_like(m)
+    for s in range(1, cap + 1):  # term = C(m, s), exact in integers
+        term = term * np.maximum(m - s + 1, 0) // s
+        total = total + term
+    return total
 
 
-def _responses(mode: str, who, src, X, Y, indeg, params: GameParams):
+def _breadth(n: int) -> tuple[int, int]:
+    """(P, L) of the search at n: every opponent and any number of links
+    while all 2^(n-1) subsets fit one kernel pass, else (4, 3)."""
+    return (n - 1, n - 1) if 1 << (n - 1) <= _KERNEL_CHUNK else (4, 3)
+
+
+def _responses(who, src, X, Y, indeg, params: GameParams):
     """Best responses of the player with parameter index who[r] (the player
     itself for a GameParams) against state row src[r] of X, Y and indeg:
-    among the subsets of ``_candidate_table``'s candidates, at most
-    _STRUCTURAL_MAX_LINKS of them in structural mode and any number in exact
-    mode, in (size, lex) order, the first within EPS_DEV of the maximum.
-    Returns link rows, x, y and utility.  The package passes ``_search(n)``
-    as the mode; naming it here lets a test pin either search at any n.
+    among the subsets of at most L of ``_candidate_table``'s candidates, for
+    (P, L) = ``_breadth(n)``, in (size, lex) order, the first within EPS_DEV
+    of the maximum.  Returns link rows, x, y and utility.
 
     Dropping a target j whose gain d_j = _link_gain(i, x_j, y_j) is at most
     k - EPS_DEV changes no answer.  i's gross value sums, over the goods, a
@@ -204,14 +207,13 @@ def _responses(mode: str, who, src, X, Y, indeg, params: GameParams):
     one bit for bit.
     """
     b, n = len(who), X.shape[1]
-    if mode not in (EXACT, STRUCTURAL):
-        raise ValueError(f"unknown mode {mode!r}")
-    table, count = _candidate_table(mode, who, src, X, Y, indeg, params)
+    providers, cap = _breadth(n)
+    table, count = _candidate_table(who, src, X, Y, indeg, params, providers)
     passes = [slice(None)]
-    if b * _subset_count(mode, count.max()) > _KERNEL_CHUNK:
+    if b * _subset_count(count.max(), cap) > _KERNEL_CHUNK:
         # rows in order of candidate count, each pass as many as fit at its widest
         order, passes, lo = np.argsort(count, kind="stable"), [], 0
-        need = _subset_count(mode, count[order])
+        need = _subset_count(count[order], cap)
         while lo < b:
             hi = lo + max(1, int(np.sum(np.arange(1, b - lo + 1) * need[lo:] <= _KERNEL_CHUNK)))
             passes.append(order[lo:hi])
@@ -219,7 +221,7 @@ def _responses(mode: str, who, src, X, Y, indeg, params: GameParams):
     links, out = np.empty((b, n), dtype=np.int8), np.empty((3, b))
     for rows in passes:
         m = count[rows].max()
-        slots, sizes = _subset_members(m, m if mode == EXACT else _STRUCTURAL_MAX_LINKS)
+        slots, sizes = _subset_members(m, cap)
         part = table[rows, : m + 1]
         cols = src[rows, None], np.minimum(part, n - 1)
         xs = np.where(part < n, X[cols], 0.0)
@@ -238,22 +240,16 @@ def _responses(mode: str, who, src, X, Y, indeg, params: GameParams):
     return links, *out
 
 
-def _search(n: int) -> str:
-    """The search of an n-player game: exact while every subset of a player's
-    n - 1 opponents fits one kernel pass, structural above."""
-    return EXACT if 1 << (n - 1) <= _KERNEL_CHUNK else STRUCTURAL
-
-
 def best_response(i: int, profile: StrategyProfile, params: GameParams) -> BestResponse:
     """Utility-maximizing (links, contributions) for player i.
 
     Among strategies within EPS_DEV of the maximum, the one with the fewest
     links and then the lexicographically smallest target set is returned, so
     results are identical across platforms and traversal orders.  This is
-    the kernel of the game's search on a batch of one.
+    the kernel on a batch of one.
     """
     state = profile.x[None], profile.y[None], profile.in_degree()[None]
-    links, x, y, u = _responses(_search(params.n), np.array([i]), np.array([0]), *state, params)
+    links, x, y, u = _responses(np.array([i]), np.array([0]), *state, params)
     chosen = tuple(np.flatnonzero(links[0]).tolist())
     return BestResponse(chosen, float(x[0]), float(y[0]), float(u[0]))
 
@@ -266,13 +262,13 @@ def _deviations(params, game, X, Y, G) -> list[Deviation | None]:
     utility, which any comparison reads as no deviation, raises ValueError;
     a current utility of -inf is an ordinary deviation."""
     n, indeg = X.shape[1], G.sum(axis=1)
-    step, search = max(1, _KERNEL_CHUNK // n), _search(n)
+    step = max(1, _KERNEL_CHUNK // n)
     found: list[Deviation | None] = [None] * len(X)
     todo = np.arange(len(X) * n)
     while todo.size:
         p, i = np.divmod(todo[:step], n)
         who = game[p] * n + i
-        links, new_x, new_y, best = _responses(search, who, p, X, Y, indeg, params)
+        links, new_x, new_y, best = _responses(who, p, X, Y, indeg, params)
         current = utilities(params, who, X[p], Y[p], G[p, i])
         nan = np.flatnonzero(np.isnan(best - current))
         if nan.size:

@@ -50,6 +50,14 @@ def _fmt(v: float) -> str:
     return f"{v:.12g}"
 
 
+def _number(raw, what: str, kind=float):
+    """raw as a float (or int), or a ConfigError naming what it is for."""
+    try:
+        return kind(raw)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{what} must be a number, not {raw!r}") from exc
+
+
 def _round_sig(obj):
     """Round floats to 12 significant digits for stable serialization."""
     if isinstance(obj, float):
@@ -68,7 +76,7 @@ def _parse_benefit(cfg: dict) -> BenefitSpec:
     family = raw["family"]
     try:
         if family == "power":
-            return BenefitSpec.power(float(raw["exponent"]))
+            return BenefitSpec.power(_number(raw["exponent"], "exponent"))
         return BenefitSpec(family)
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad benefit spec: {exc}") from exc
@@ -79,7 +87,7 @@ def _parse_dist(raw):
         return UNIFORM
     if isinstance(raw, dict) and raw.get("kind") == "truncnormal":
         try:
-            return TruncNormal(float(raw["mean"]), float(raw["sd"]))
+            return TruncNormal(_number(raw["mean"], "mean"), _number(raw["sd"], "sd"))
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"bad distribution: {exc}") from exc
     raise ConfigError(f"unknown distribution {raw!r}")
@@ -97,7 +105,8 @@ def _parse_types(cfg: dict) -> np.ndarray:
         raise ConfigError("config needs n (with dist) or an explicit types list")
     dist = _parse_dist(cfg.get("dist"))
     try:
-        return sample_types(dist, int(cfg["n"]), int(cfg.get("seed", 0)))
+        return sample_types(dist, _number(cfg["n"], "n", int),
+                            _number(cfg.get("seed", 0), "seed", int))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -107,15 +116,15 @@ def _parse_params(cfg: dict):
         raise ConfigError("exactly one of k / k_grid must be present")
     benefit = _parse_benefit(cfg)
     types = _parse_types(cfg)
-    c = float(cfg.get("c", 0))
+    c = _number(cfg.get("c", 0), "c")
     k_grid = None
     if "k_grid" in cfg:
-        k_grid = [float(v) for v in cfg["k_grid"]]
+        k_grid = [_number(v, "k_grid entry") for v in cfg["k_grid"]]
         if not k_grid or any(b <= a for a, b in zip(k_grid, k_grid[1:])) or k_grid[0] <= 0:
             raise ConfigError("k_grid must be non-empty, positive, strictly increasing")
         k = k_grid[0]
     else:
-        k = float(cfg["k"])
+        k = _number(cfg["k"], "k")
     try:
         params = GameParams(types, c, k, benefit)
     except ValueError as exc:
@@ -156,9 +165,9 @@ def _write_json(path: str, body: dict) -> None:
         fh.write(json.dumps(_round_sig(body), sort_keys=True, indent=1) + "\n")
 
 
-def emit_report(records, fmt: str, path: str, profiles=None) -> None:
+def emit_report(records, fmt: str, path: str, profiles) -> None:
     """Write sweep-shaped records as CSV, or as JSON (12 significant digits)
-    with each record's profile where profiles are given."""
+    with each record's profile."""
     if not records:
         raise ValueError("records must be non-empty")
     if fmt == "csv":
@@ -182,9 +191,8 @@ def emit_report(records, fmt: str, path: str, profiles=None) -> None:
             fh.write("\n".join(lines) + "\n")
     elif fmt == "json":
         entries = [dataclasses.asdict(rec) for rec in records]
-        if profiles is not None:
-            for entry, profile in zip(entries, profiles):
-                entry["profile"] = _profile_payload(profile)
+        for entry, profile in zip(entries, profiles):
+            entry["profile"] = _profile_payload(profile)
         _write_json(path, {"records": entries})
     else:
         raise ValueError(f"unknown format {fmt!r}")
@@ -195,7 +203,7 @@ def _cmd_solve(cfg, params, k_grid, fmt, out):
         raise ConfigError("solve takes a single k, not a grid")
     profile, report = welfare_max_equilibrium(params)
     rec = _record_for(params.k, profile, report, params)
-    emit_report([rec], fmt, out, profiles=[profile])
+    emit_report([rec], fmt, out, [profile])
     return EXIT_STRUCTURE if rec.classification == STRUCTURE_VIOLATION else EXIT_OK
 
 
@@ -203,7 +211,7 @@ def _cmd_sweep(cfg, params, k_grid, fmt, out):
     if k_grid is None:
         raise ConfigError("sweep_k needs k_grid")
     records, profiles = sweep_k(params, k_grid, return_profiles=True)
-    emit_report(records, fmt, out, profiles=profiles)
+    emit_report(records, fmt, out, profiles)
     bad = any(r.classification == STRUCTURE_VIOLATION for r in records)
     return EXIT_STRUCTURE if bad else EXIT_OK
 
@@ -223,13 +231,13 @@ def _cmd_verify(cfg, params, k_grid, fmt, out):
         if "profile" not in entry:
             raise ConfigError("verify needs records with embedded profiles (json format)")
         profile = _profile_from_payload(entry["profile"], params.n)
-        k = float(entry.get("k", params.k))
+        k = _number(entry.get("k", params.k), "record k")
         rep = verify_nash(profile, params.with_k(k))
         records.append(_record_for(k, profile, rep, params.with_k(k)))
         profiles.append(profile)
     if not records:
         raise ConfigError("no records to verify")
-    emit_report(records, fmt, out, profiles=profiles)
+    emit_report(records, fmt, out, profiles)
     bad = any(r.classification == STRUCTURE_VIOLATION for r in records)
     return EXIT_STRUCTURE if bad else EXIT_OK
 
@@ -242,9 +250,9 @@ def _cmd_subsidy(cfg, params, k_grid, fmt, out):
         raise ConfigError("subsidy needs a budget")
     plan, profile, regime = planner(
         params,
-        float(sub["budget"]),
-        target_grid=int(sub.get("target_grid", 8)),
-        level_grid=int(sub.get("level_grid", 20)),
+        _number(sub["budget"], "budget"),
+        target_grid=_number(sub.get("target_grid", 8), "target_grid", int),
+        level_grid=_number(sub.get("level_grid", 20), "level_grid", int),
     )
     rep = verify_nash(profile, params.with_costs(params.cost_vec - plan.v))
     body = {
@@ -269,8 +277,8 @@ def _cmd_law_of_few(cfg, params, k_grid, fmt, out):
         raise ConfigError("law_of_few needs n_list")
     dist = _parse_dist(cfg.get("dist"))
     rows = law_of_few_scan(
-        [int(v) for v in n_list], dist, params.c, params.k, params.benefit,
-        int(cfg.get("seed", 0)),
+        [_number(v, "n_list entry", int) for v in n_list], dist, params.c, params.k,
+        params.benefit, _number(cfg.get("seed", 0), "seed", int),
     )
     body = {
         "law_of_few": [
@@ -297,18 +305,19 @@ def _cmd_extensions(cfg, params, k_grid, fmt, out):
             "y": [float(v) for v in wp.y],
         }
     elif variant == "perturbed":
+        eps_bound = _number(ext.get("eps_bound", 1e-4), "eps_bound")
         profile, report = welfare_max_equilibrium(params)
         frac = perturbation_robustness(
             profile,
             params,
-            float(ext.get("eps_bound", 1e-4)),
-            int(ext.get("trials", 20)),
-            seed=int(cfg.get("seed", 0)),
+            eps_bound,
+            _number(ext.get("trials", 20), "trials", int),
+            seed=_number(cfg.get("seed", 0), "seed", int),
         )
         body = {
             "variant": "perturbed",
             "classification": report.classification,
-            "eps_bound": float(ext.get("eps_bound", 1e-4)),
+            "eps_bound": eps_bound,
             "fraction_preserved": frac,
         }
     elif variant == "two_way":
@@ -347,8 +356,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", help="output path (overrides config)")
     parser.add_argument("--format", choices=["csv", "json"], help="output format override")
     parser.add_argument("--seed", type=int, help="seed override")
-    parser.add_argument("--mode", choices=["exact", "structural"],
-                        help="accepted and ignored: the search follows from n")
     args = parser.parse_args(argv)
 
     try:
@@ -368,10 +375,6 @@ def main(argv=None) -> int:
             raise ConfigError("no output path given")
         if fmt not in ("csv", "json"):
             raise ConfigError(f"unknown format {fmt!r}")
-        # validated for old configs, but selects nothing: the search follows from n
-        mode = args.mode or cfg.get("mode", "exact")
-        if mode not in ("exact", "structural"):
-            raise ConfigError(f"unknown mode {mode!r}")
         params, k_grid = _parse_params(cfg)
     except (OSError, json.JSONDecodeError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

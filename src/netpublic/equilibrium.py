@@ -22,7 +22,6 @@ from .best_response import (
     _deviations,
     _link_gain,
     _responses,
-    _search,
     _subset_members,
     _top_up,
     find_profitable_deviation,
@@ -549,7 +548,7 @@ def _dynamics(params, game, X, Y, G, configs: list[DynamicsConfig]) -> np.ndarra
     changes nothing; a row still changing after max_rounds rounds stops
     where it stands, unsettled.
     """
-    b, n, search = len(X), params.n, _search(params.n)
+    b, n = len(X), params.n
     base = game * n  # parameter index of each row's player 0
     indeg = G.sum(axis=1)
     drawn = np.array([c.order == RANDOM_PERMUTATION for c in configs])
@@ -571,7 +570,7 @@ def _dynamics(params, game, X, Y, G, configs: list[DynamicsConfig]) -> np.ndarra
             w = min(width, n - pos)
             i, src = orders[:, pos : pos + w].ravel(), np.repeat(live, w)
             who = base[src] + i
-            links, new_x, new_y, new_u = _responses(search, who, src, X, Y, indeg, params)
+            links, new_x, new_y, new_u = _responses(who, src, X, Y, indeg, params)
             better = new_u > utilities(params, who, X[src], Y[src], G[src, i]) + EPS_DEV
             better = better.reshape(-1, w)
             hit = better.any(axis=0)

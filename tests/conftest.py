@@ -1,3 +1,5 @@
+import contextlib
+import importlib
 import itertools
 
 import numpy as np
@@ -20,6 +22,22 @@ def random_scenario(rng, n: int, k_span=(0.02, 1.2)) -> GameParams:
     probe = GameParams(types, c, 1.0, spec)
     k = float(rng.uniform(*k_span)) * k_tilde(probe)
     return GameParams(types, c, k, spec)
+
+
+# the best-response search at its two breadths (P, L) as functions of n:
+# every opponent and any number of links, an exact search, and the receivers
+# plus the 4 largest providers with at most 3 links, the structural one
+BREADTHS = {"exact": lambda n: (n - 1, n - 1), "structural": lambda n: (4, 3)}
+
+
+@contextlib.contextmanager
+def pinned_breadth(search):
+    """The kernel's breadth pinned to BREADTHS[search] at any n."""
+    with pytest.MonkeyPatch.context() as patch:
+        # the module; the package attribute of this name is the function
+        module = importlib.import_module("netpublic.best_response")
+        patch.setattr(module, "_breadth", BREADTHS[search])
+        yield
 
 
 @pytest.fixture

@@ -11,7 +11,6 @@ from netpublic import (
     DELETE,
     EPS_DEV,
     BenefitSpec,
-    BestResponse,
     Deviation,
     GameParams,
     StrategyProfile,
@@ -28,9 +27,10 @@ from netpublic.best_response import (
     _deviations,
     _link_gain,
     _responses,
+    _subset_count,
     _subset_members,
 )
-from tests.conftest import random_scenario, unpruned_exact_responses
+from tests.conftest import BREADTHS, pinned_breadth, random_scenario, unpruned_exact_responses
 
 # the module; the package attribute of this name is the function
 br_module = importlib.import_module("netpublic.best_response")
@@ -164,12 +164,11 @@ def test_best_response_beats_random_alternatives(rng):
         assert utility(trial, 2, params) <= br.utility + 1e-9
 
 
-def _pinned_response(mode, i, profile, params):
-    """best_response with the kernel's search pinned to mode at any n."""
-    state = profile.x[None], profile.y[None], profile.in_degree()[None]
-    links, x, y, u = _responses(mode, np.array([i]), np.array([0]), *state, params)
-    return BestResponse(tuple(np.flatnonzero(links[0]).tolist()), float(x[0]), float(y[0]),
-                        float(u[0]))
+def _pinned_response(search, i, profile, params):
+    """best_response with the kernel's breadth pinned to BREADTHS[search] at
+    any n."""
+    with pinned_breadth(search):
+        return best_response(i, profile, params)
 
 
 def test_structural_mode_tracks_exact(rng):
@@ -223,7 +222,7 @@ def test_structural_candidates_match_reference(rng):
         X, Y = np.array([p.x for p in profiles]), np.array([p.y for p in profiles])
         indeg = np.array([p.in_degree() for p in profiles])
         players, src = np.tile(np.arange(n), 2), np.repeat([0, 1], n)
-        table, count = _candidate_table("structural", players, src, X, Y, indeg, params)
+        table, count = _candidate_table(players, src, X, Y, indeg, params, 4)
         assert np.array_equal(count, (table < n).sum(axis=1))
         assert table.dtype.kind == "i" and table.shape == (2 * n, count.max() + 1)
         for r, (i, s) in enumerate(zip(players.tolist(), src.tolist())):
@@ -249,10 +248,11 @@ def test_batched_best_response_chunks_match_single_rows(rng):
         Y = params.y_hat * rng.uniform(0.1, 1.5, size=(b, n)) * active
         players = rng.integers(0, n, size=b)
         src, indeg = np.arange(b), np.zeros((b, n), dtype=int)
-        count = _candidate_table("exact", players, src, X, Y, indeg, params)[1]
+        count = _candidate_table(players, src, X, Y, indeg, params, n - 1)[1]
         assert count.max() >= n - 2 and len(set(count.tolist())) > 1
         assert b > _KERNEL_CHUNK // 2 ** count.max()
-        links, x, y, util = _responses("exact", players, src, X, Y, indeg, params)
+        with pinned_breadth("exact"):
+            links, x, y, util = _responses(players, src, X, Y, indeg, params)
         want = unpruned_exact_responses(players, X, Y, params)
         for r in range(b):
             prof = StrategyProfile(X[r], Y[r], np.zeros((n, n)))
@@ -278,12 +278,13 @@ def test_structural_kernel_chunks_match_single_rows(rng):
     Y = params.y_hat * rng.uniform(0.0, 1.5, size=(b, n))
     indeg = (rng.random((b, n)) < rng.uniform(0.2, 0.3, size=(b, 1))).astype(int)
     players, src = rng.integers(0, n, size=b), np.arange(b)
-    width = _candidate_table("structural", players, src, X, Y, indeg, params)[0].shape[1]
+    width = _candidate_table(players, src, X, Y, indeg, params, 4)[0].shape[1]
     assert width > 20
     assert 1 < _KERNEL_CHUNK // len(_subset_members(width - 1, 3)[0]) < b
-    batch = _responses("structural", players, src, X, Y, indeg, params)
+    assert br_module._breadth(n) == (4, 3)
+    batch = _responses(players, src, X, Y, indeg, params)
     for r in range(b):
-        one = _responses("structural", players[r : r + 1], np.zeros(1, dtype=int), X[r : r + 1],
+        one = _responses(players[r : r + 1], np.zeros(1, dtype=int), X[r : r + 1],
                          Y[r : r + 1], indeg[r : r + 1], params)
         for got, alone in zip(batch, one):
             assert got[r].tobytes() == alone[0].tobytes()
@@ -366,35 +367,35 @@ def test_deviation_search_fails_loudly_on_a_nan_utility():
     assert found[0] is None and found[1].player == 0 and found[1].utility_gain == np.inf
 
 
-def _deviation_reference(profile, params, mode):
+def _deviation_reference(profile, params, search):
     """The per-player loop find_profitable_deviation ran before it searched
-    every player in one kernel call, with the search pinned to mode."""
+    every player in one kernel call, with the breadth pinned to search."""
     for i in range(params.n):
         current = utility(profile, i, params)
-        br = _pinned_response(mode, i, profile, params)
+        br = _pinned_response(search, i, profile, params)
         if br.utility > current + EPS_DEV:
             return Deviation(i, br.links, br.x, br.y, br.utility - current)
     return None
 
 
 @pytest.mark.parametrize("chunk", [_KERNEL_CHUNK, 64])
-@pytest.mark.parametrize("mode", ["exact", "structural"])
-def test_batched_deviation_search_matches_per_player_loop(rng, monkeypatch, mode, chunk):
+@pytest.mark.parametrize("search", ["exact", "structural"])
+def test_batched_deviation_search_matches_per_player_loop(rng, monkeypatch, search, chunk):
     # at chunk 64 the players are searched in blocks of 64 // n, and the
-    # search stops at the first block with a deviator; the search is exact
+    # search stops at the first block with a deviator; the breadth is exact
     # up to the largest n with 2^(n - 1) <= chunk and structural above it
     monkeypatch.setattr(br_module, "_KERNEL_CHUNK", chunk)
     switch = chunk.bit_length()
     real, calls = br_module._responses, []
 
     def counting(*args):
-        calls.append(len(args[1]))
+        calls.append(len(args[0]))
         return real(*args)
 
     later = 0
     for trial in range(30):
-        n = int(rng.integers(3, switch + 1) if mode == "exact" else rng.integers(switch + 1, 60))
-        assert br_module._search(n) == mode
+        n = int(rng.integers(3, switch + 1) if search == "exact" else rng.integers(switch + 1, 60))
+        assert br_module._breadth(n) == BREADTHS[search](n)
         params = random_scenario(rng, n)
         if trial % 3 == 2:
             g = (rng.random((n, n)) < rng.choice([0.05, 0.2, 0.5])).astype(np.int8)
@@ -410,7 +411,7 @@ def test_batched_deviation_search_matches_per_player_loop(rng, monkeypatch, mode
                 targets = [t for t in range(n) if t != j and rng.random() < 0.2]
                 prof.set_strategy(j, targets, params.x_hat[j] * rng.uniform(0.0, 1.2),
                                   params.y_hat[j] * rng.uniform(0.0, 1.2))
-        want = _deviation_reference(prof, params, mode)
+        want = _deviation_reference(prof, params, search)
         calls.clear()
         monkeypatch.setattr(br_module, "_responses", counting)
         assert find_profitable_deviation(prof, params) == want, trial
@@ -425,9 +426,12 @@ def test_batched_deviation_search_matches_per_player_loop(rng, monkeypatch, mode
 @pytest.mark.parametrize("n,search", [(14, "exact"), (15, "structural")])
 def test_search_is_exact_up_to_n_14_and_structural_above(rng, n, search):
     # n = 14 is the last n whose 2^(n - 1) opponent subsets fit one kernel
-    # pass.  Cheap links against many small providers make exact responses
-    # take four or more links, out of the structural search's reach, so the
-    # two kernels disagree and the public calls must match the right one.
+    # pass, so the breadth is every opponent and any number of links up to
+    # it and (4, 3) above.  Cheap links against many small providers make
+    # exact responses take four or more links, out of the structural
+    # breadth's reach, so the two breadths disagree and the public calls
+    # must match the right one.
+    assert br_module._breadth(n) == BREADTHS[search](n)
     other = {"exact": "structural", "structural": "exact"}[search]
     disagree = deviating = 0
     for trial in range(4):
@@ -447,3 +451,19 @@ def test_search_is_exact_up_to_n_14_and_structural_above(rng, n, search):
         assert find_profitable_deviation(prof, params) == want, trial
         deviating += want is not None
     assert disagree > 0 and deviating > 0
+
+
+def test_subset_count_matches_the_enumeration():
+    # the sum of C(m, s) over s <= cap is the enumerator's subset count, and
+    # 2^m at cap >= m, for scalar and array m
+    for m in range(15):
+        for cap in range(m + 1):
+            assert _subset_count(m, cap) == len(_subset_members(m, cap)[1]), (m, cap)
+        for cap in (m, m + 1, 20):
+            assert _subset_count(m, cap) == 2**m
+    m = np.arange(15)
+    for cap in range(16):
+        want = [len(_subset_members(int(v), min(cap, int(v)))[1]) for v in m]
+        assert _subset_count(m, cap).tolist() == want, cap
+    assert _subset_count(np.array([60, 250]), 3).tolist() == [
+        sum(math.comb(v, s) for s in range(4)) for v in (60, 250)]

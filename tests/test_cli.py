@@ -22,7 +22,6 @@ def _base_config(**overrides):
         "n": 10,
         "dist": {"kind": "uniform"},
         "seed": 3,
-        "mode": "exact",
         "command": "solve",
         "output": {"path": "", "format": "json"},
     }
@@ -85,34 +84,53 @@ def test_solve_empty_record_csv_row(tmp_path):
     float(fields[3]), float(fields[4])  # welfare fields present and numeric
 
 
-def test_mode_is_accepted_and_selects_nothing(tmp_path):
-    # the search follows from n: at n = 20 "exact" solves as "structural"
-    # does, byte for byte, and so does --mode; an unknown mode is still a
-    # config error
+def test_mode_key_is_ignored_and_mode_flag_is_gone(tmp_path):
+    # the best-response search follows from n, so a "mode" key is ignored
+    # like any other unknown key, whatever its value: at n = 20 every config
+    # solves byte for byte alike, and --mode is not a flag
     written = []
-    for mode in ("exact", "structural", None):
+    for mode in ("exact", "structural", "fast", None):
         cfg = _base_config(n=20, k=0.5)
-        if mode is None:
-            del cfg["mode"]
+        if mode is not None:
+            cfg["mode"] = mode
         out = tmp_path / f"{mode}.json"
         cfg["output"]["path"] = str(out)
         assert main(["--config", _write(tmp_path / f"{mode}-c.json", cfg)]) == 0
         written.append(out.read_bytes())
-    out = tmp_path / "flag.json"
-    assert main(["--config", str(tmp_path / "structural-c.json"), "--out", str(out),
-                 "--mode", "exact"]) == 0
-    written.append(out.read_bytes())
     assert all(w == written[0] for w in written)
-    cfg = _base_config(n=20, k=0.5, mode="fast")
-    cfg["output"]["path"] = str(tmp_path / "fast.json")
-    assert main(["--config", _write(tmp_path / "fast-c.json", cfg)]) == 2
     with pytest.raises(SystemExit) as exc:
-        main(["--config", str(tmp_path / "exact-c.json"), "--mode", "fast"])
+        main(["--config", str(tmp_path / "None-c.json"), "--mode", "exact"])
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("change", [
+    {"k": "abc"},
+    {"k": None},
+    {"c": "x"},
+    {"command": "sweep_k", "k_grid": [0.1, "a"]},
+    {"n": None},
+    {"n": 1e999},
+    {"seed": None},
+    {"dist": {"kind": "truncnormal", "mean": None, "sd": 1.0}},
+    {"benefit": {"family": "power", "exponent": None}},
+    {"command": "verify"},
+], ids=["k-text", "k-null", "c-text", "k_grid-text", "n-null", "n-inf", "seed-null",
+        "mean-null", "exponent-null", "record-k-null"])
+def test_malformed_number_is_config_error(tmp_path, capsys, change):
+    cfg = _base_config(**change)
+    cfg["output"]["path"] = str(tmp_path / "o.json")
+    if "k_grid" in change:
+        del cfg["k"]
+    if cfg["command"] == "verify":
+        report = {"records": [{"k": None, "profile": {"x": [1.0] * 10, "y": [1.0] * 10,
+                                                      "links": []}}]}
+        cfg["verify_profile"] = _write(tmp_path / "report.json", report)
+    assert main(["--config", _write(tmp_path / "c.json", cfg)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
 def test_sweep_csv_columns_and_determinism(tmp_path):
-    cfg = _base_config(command="sweep_k", n=20, mode="structural")
+    cfg = _base_config(command="sweep_k", n=20)
     del cfg["k"]
     cfg["k_grid"] = [0.3, 0.6, 0.9]
     out = tmp_path / "o.csv"

@@ -1,5 +1,6 @@
 """Equilibrium construction, verification, classification, and the oracle."""
 
+import importlib
 import itertools
 import math
 
@@ -38,7 +39,10 @@ from netpublic import (
 from netpublic import equilibrium as eq
 from netpublic.metrics import welfare
 from netpublic.model import _GameStack
-from tests.conftest import FAMILIES, random_scenario, random_types
+from tests.conftest import BREADTHS, FAMILIES, random_scenario, random_types
+
+# the module; the package attribute of this name is the function
+br_module = importlib.import_module("netpublic.best_response")
 
 
 def _params(types, c=1.0, k=0.4, spec=None):
@@ -362,7 +366,7 @@ def test_empty_profile_is_nash_above_threshold():
 
 
 def test_welfare_max_and_verify_nash_take_no_search_argument_at_n_20():
-    # the search follows from n: at n = 20 it is structural, where the
+    # the breadth follows from n: at n = 20 it is structural, where the
     # exact default these calls once had raised ValueError above n = 16
     probe = GameParams(sample_types(UNIFORM, 20, seed=3), 1.0, 1.0, BenefitSpec.log())
     params = probe.with_k(0.5 * k_tilde(probe))
@@ -821,7 +825,7 @@ def test_settled_row_confirms_in_logarithmic_kernel_calls(monkeypatch, game):
     real = eq._responses
 
     def counting(*args):
-        calls.append(len(args[1]))
+        calls.append(len(args[0]))
         return real(*args)
 
     monkeypatch.setattr(eq, "_responses", counting)
@@ -836,26 +840,26 @@ def test_settled_row_confirms_in_logarithmic_kernel_calls(monkeypatch, game):
 def test_independent_repair_joins_the_dynamics_batch(monkeypatch, game, search):
     # one _dynamics call covers the seeded starts and the repair of the
     # greedy independent profile, and every kernel call of it runs the
-    # search that n picks: exact at n = 10, structural at n = 17
+    # breadth that n picks: exact at n = 10, structural at n = 17
     params = _dynamics_games()[game]
     assert params.n == {"exact": 10, "structural": 17}[search]
-    calls, searches = [], set()
-    real, real_responses = eq._dynamics, eq._responses
+    calls, breadths = [], set()
+    real, real_breadth = eq._dynamics, br_module._breadth
 
     def counting(params, game, X, Y, G, configs):
         calls.append([(c.order, c.seed) for c in configs])
         return real(params, game, X, Y, G, configs)
 
-    def recording(mode, *args):
-        searches.add(mode)
-        return real_responses(mode, *args)
+    def recording(n):
+        breadths.add(real_breadth(n))
+        return real_breadth(n)
 
     monkeypatch.setattr(eq, "_dynamics", counting)
-    monkeypatch.setattr(eq, "_responses", recording)
+    monkeypatch.setattr(br_module, "_breadth", recording)
     _, X, Y, G, _, _, order = eq._candidates([params])
     starts = [("random_permutation", s) for s in range(eq._DYNAMICS_STARTS)]
     assert calls == [starts + [("round_robin", 0)]]
-    assert searches == {search}
+    assert breadths == {BREADTHS[search](params.n)}
     monkeypatch.undo()
     independent = order[1]  # the second candidate
     assert G[independent].tobytes() == construct_independent(params).g.tobytes()

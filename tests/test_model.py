@@ -24,7 +24,7 @@ from netpublic import (
 )
 from netpublic.best_response import _responses
 from netpublic.model import gross_value, normal_quantile, validate_types
-from tests.conftest import FAMILIES
+from tests.conftest import BREADTHS, FAMILIES, pinned_breadth
 
 
 # ----------------------------------------------------------------------
@@ -87,11 +87,12 @@ def test_log_zero_consumption_raises_no_runtime_warning():
         assert np.isfinite(k_tilde(params))  # types 0 and 1 have a zero autarky good
         assert best_response(1, zero, params).utility > -math.inf
         assert find_profitable_deviation(zero, params).player == 0
-        # either search, pinned through the kernel: every player escapes the
+        # either breadth, pinned through the kernel: every player escapes the
         # -inf of zero consumption, so player 0 deviates first in both
         state = zero.x[None], zero.y[None], zero.in_degree()[None]
-        for mode in ("exact", "structural"):
-            best = _responses(mode, np.arange(4), np.zeros(4, dtype=int), *state, params)[3]
+        for search in BREADTHS:
+            with pinned_breadth(search):
+                best = _responses(np.arange(4), np.zeros(4, dtype=int), *state, params)[3]
             assert (best > -math.inf).all()
 
 

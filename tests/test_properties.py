@@ -2,7 +2,7 @@
 of its one-way and two-way Nash checks on symmetric digraphs, of the
 batched exact best response against full subset enumeration, of the
 batched structural best response against the scalar search it replaced, of
-both modes of the pruned kernel against the unpruned one, of a batch of
+the pruned kernel at both breadths against the unpruned one, of a batch of
 games against each game solved alone, and of a game group's welfare pass and
 deviation search against the one-profile calls."""
 
@@ -42,7 +42,13 @@ from netpublic.best_response import (
 )
 from netpublic.metrics import _welfare_totals, welfare
 from netpublic.model import _GameStack
-from tests.conftest import FAMILIES, gross_utilities, subset_matrix, unpruned_exact_responses
+from tests.conftest import (
+    FAMILIES,
+    gross_utilities,
+    pinned_breadth,
+    subset_matrix,
+    unpruned_exact_responses,
+)
 
 # derandomized, so tier-1 runs the same examples every time
 ORACLE_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=30)
@@ -177,7 +183,7 @@ def _enumerated_best_response(i, profile, params):
 def test_batched_best_response_matches_single_and_enumeration(case):
     params, players, X, Y = case
     src, indeg = np.arange(len(players)), np.zeros(X.shape, dtype=int)
-    links, x, y, util = _responses("exact", players, src, X, Y, indeg, params)
+    links, x, y, util = _responses(players, src, X, Y, indeg, params)
     want = unpruned_exact_responses(players, X, Y, params)
     for r, i in enumerate(players.tolist()):
         profile = StrategyProfile(X[r], Y[r], np.zeros((params.n, params.n)))
@@ -240,10 +246,11 @@ def _structural_reference(i, x, y, receivers, params):
 @given(structural_cases())
 def test_structural_kernel_matches_batch_of_one_and_scalar_search(case):
     params, players, X, Y, indeg = case
-    batch = _responses("structural", players, np.arange(len(players)), X, Y, indeg, params)
-    for r, i in enumerate(players.tolist()):
-        one = _responses("structural", players[r : r + 1], np.zeros(1, dtype=int), X[r : r + 1],
-                         Y[r : r + 1], indeg[r : r + 1], params)
+    with pinned_breadth("structural"):
+        batch = _responses(players, np.arange(len(players)), X, Y, indeg, params)
+        ones = [_responses(players[r : r + 1], np.zeros(1, dtype=int), X[r : r + 1],
+                           Y[r : r + 1], indeg[r : r + 1], params) for r in range(len(players))]
+    for r, (i, one) in enumerate(zip(players.tolist(), ones)):
         for got, alone in zip(batch, one):
             assert got[r].tobytes() == alone[0].tobytes()
         links, x, y, u = _structural_reference(i, X[r], Y[r], indeg[r] > 0, params)
@@ -253,12 +260,12 @@ def test_structural_kernel_matches_batch_of_one_and_scalar_search(case):
         assert batch[3][r] == pytest.approx(u, rel=1e-12)
 
 
-def _unpruned_candidates(mode, players, X, Y, indeg):
+def _unpruned_candidates(search, players, X, Y, indeg):
     """Candidates before pruning, one state row per kernel row, padded with
-    n to the batch maximum: every opponent in exact mode, the receivers plus
-    the top 4 providers in structural mode."""
+    n to the batch maximum: every opponent at the exact breadth, the
+    receivers plus the top 4 providers at the structural one."""
     b, n = len(players), X.shape[1]
-    if mode == "exact":
+    if search == "exact":
         cand = np.ones((b, n), dtype=bool)
     else:
         top = np.argsort(-(X + Y), axis=1, kind="stable")[:, :5]
@@ -274,14 +281,14 @@ def _unpruned_candidates(mode, players, X, Y, indeg):
     return table
 
 
-def _unpruned_responses(mode, players, X, Y, indeg, params):
+def _unpruned_responses(search, players, X, Y, indeg, params):
     """The candidate-table kernel as it was before submodular pruning: every
-    subset of the unpruned candidates (at most 3 of them in structural
-    mode), padded slots providing 0, all rows in one pass."""
+    subset of the unpruned candidates (at most 3 of them at the structural
+    breadth), padded slots providing 0, all rows in one pass."""
     b, n = len(players), X.shape[1]
-    table = _unpruned_candidates(mode, players, X, Y, indeg)
+    table = _unpruned_candidates(search, players, X, Y, indeg)
     m = table.shape[1] - 1
-    slots, sizes = _subset_members(m, m if mode == "exact" else 3)
+    slots, sizes = _subset_members(m, m if search == "exact" else 3)
     cols = np.arange(b)[:, None], np.minimum(table, n - 1)
     xs, ys = np.where(table < n, X[cols], 0.0), np.where(table < n, Y[cols], 0.0)
     x_bar, y_bar = xs[:, slots[:, 0]], ys[:, slots[:, 0]]
@@ -298,12 +305,12 @@ def _unpruned_responses(mode, players, X, Y, indeg, params):
 
 @st.composite
 def pruning_cases(draw):
-    """structural_cases in either mode (exact at n <= 12) with per-player
+    """structural_cases at either breadth (exact at n <= 12) with per-player
     costs in half the games, kernel rows mapped onto 1 to 4 state rows, and
     k in three quarters of the games set to a candidate's link gain, or that
     gain plus or minus EPS_DEV."""
-    mode = draw(st.sampled_from(["structural", "exact"]))
-    params, _, X, Y, indeg = draw(structural_cases(max_n=12 if mode == "exact" else 120))
+    search = draw(st.sampled_from(["structural", "exact"]))
+    params, _, X, Y, indeg = draw(structural_cases(max_n=12 if search == "exact" else 120))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n, rows = params.n, len(X)
     if draw(st.booleans()):
@@ -312,22 +319,23 @@ def pruning_cases(draw):
     players, src = rng.integers(0, n, b), rng.integers(0, rows, b)
     edge = draw(st.sampled_from([None, -1, 0, 1]))
     if edge is not None:
-        table = _unpruned_candidates(mode, players, X[src], Y[src], indeg[src])
+        table = _unpruned_candidates(search, players, X[src], Y[src], indeg[src])
         r, c = np.nonzero(table < n)
         j = table[r, c]
         gains = _link_gain(players[r], X[src[r], j], Y[src[r], j], params)
         gains = gains[gains > 2 * EPS_DEV]
         if gains.size:
             params = params.with_k(float(gains[rng.integers(gains.size)]) + edge * EPS_DEV)
-    return mode, params, players, src, X, Y, indeg
+    return search, params, players, src, X, Y, indeg
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(pruning_cases())
 def test_pruned_structural_kernel_matches_unpruned(case):
-    mode, params, players, src, X, Y, indeg = case
-    got = _responses(mode, players, src, X, Y, indeg, params)
-    want = _unpruned_responses(mode, players, X[src], Y[src], indeg[src], params)
+    search, params, players, src, X, Y, indeg = case
+    with pinned_breadth(search):
+        got = _responses(players, src, X, Y, indeg, params)
+    want = _unpruned_responses(search, players, X[src], Y[src], indeg[src], params)
     for a, b in zip(got, want):
         assert a.tobytes() == b.tobytes()
 
