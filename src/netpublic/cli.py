@@ -51,11 +51,31 @@ def _fmt(v: float) -> str:
 
 
 def _number(raw, what: str, kind=float):
-    """raw as a float (or int), or a ConfigError naming what it is for."""
+    """raw as a float (or an int), or a ConfigError naming what it is for.
+
+    Only a JSON number is one: not a bool, not text.  An int must also be
+    integral, so 12.7 is an error rather than 12."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise ConfigError(f"{what} must be a number, not {raw!r}")
+    if kind is int and isinstance(raw, float) and not raw.is_integer():
+        raise ConfigError(f"{what} must be an integer, not {raw!r}")
     try:
         return kind(raw)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{what} must be a number, not {raw!r}") from exc
+    except OverflowError as exc:
+        raise ConfigError(f"{what} must be a finite number, not {raw!r}") from exc
+
+
+def _shaped(cfg: dict, key: str, kind: type):
+    """cfg[key] when it is a kind (dict: a JSON object, list: a JSON
+    array); an absent or null object reads {}.  Any other value is a
+    ConfigError."""
+    raw = cfg.get(key)
+    if raw is None and kind is dict:
+        return {}
+    if not isinstance(raw, kind):
+        name = "an object" if kind is dict else "a list"
+        raise ConfigError(f"{key} must be {name}, not {raw!r}")
+    return raw
 
 
 def _round_sig(obj):
@@ -119,7 +139,7 @@ def _parse_params(cfg: dict):
     c = _number(cfg.get("c", 0), "c")
     k_grid = None
     if "k_grid" in cfg:
-        k_grid = [_number(v, "k_grid entry") for v in cfg["k_grid"]]
+        k_grid = [_number(v, "k_grid entry") for v in _shaped(cfg, "k_grid", list)]
         if not k_grid or any(b <= a for a, b in zip(k_grid, k_grid[1:])) or k_grid[0] <= 0:
             raise ConfigError("k_grid must be non-empty, positive, strictly increasing")
         k = k_grid[0]
@@ -245,7 +265,7 @@ def _cmd_verify(cfg, params, k_grid, fmt, out):
 def _cmd_subsidy(cfg, params, k_grid, fmt, out):
     if fmt != "json":
         raise ConfigError("subsidy reports are JSON only")
-    sub = cfg.get("subsidy") or {}
+    sub = _shaped(cfg, "subsidy", dict)
     if "budget" not in sub:
         raise ConfigError("subsidy needs a budget")
     plan, profile, regime = planner(
@@ -271,9 +291,8 @@ def _cmd_subsidy(cfg, params, k_grid, fmt, out):
 def _cmd_law_of_few(cfg, params, k_grid, fmt, out):
     if fmt != "json":
         raise ConfigError("law_of_few reports are JSON only")
-    lof = cfg.get("law_of_few") or {}
-    n_list = lof.get("n_list")
-    if not n_list:
+    n_list = _shaped(cfg, "law_of_few", dict).get("n_list")
+    if not n_list or not isinstance(n_list, list):
         raise ConfigError("law_of_few needs n_list")
     dist = _parse_dist(cfg.get("dist"))
     rows = law_of_few_scan(
@@ -293,7 +312,7 @@ def _cmd_law_of_few(cfg, params, k_grid, fmt, out):
 def _cmd_extensions(cfg, params, k_grid, fmt, out):
     if fmt != "json":
         raise ConfigError("extension reports are JSON only")
-    ext = cfg.get("extensions") or {}
+    ext = _shaped(cfg, "extensions", dict)
     variant = ext.get("variant")
     if variant == "weighted":
         wp = equilibrium_weighted(params)
@@ -368,7 +387,7 @@ def main(argv=None) -> int:
         command = cfg.get("command")
         if command not in _COMMANDS:
             raise ConfigError(f"unknown command {command!r}")
-        out_cfg = cfg.get("output") or {}
+        out_cfg = _shaped(cfg, "output", dict)
         out = args.out or out_cfg.get("path")
         fmt = args.format or out_cfg.get("format", "csv")
         if not out:

@@ -27,7 +27,16 @@ from .best_response import (
     find_profitable_deviation,
 )
 from .metrics import _welfare_totals
-from .model import EPS_DEV, GameParams, StrategyProfile, _GameStack, utilities
+from .model import (
+    EPS_DEV,
+    GameParams,
+    StrategyProfile,
+    _GameStack,
+    _compact_links,
+    _dense_links,
+    _no_links,
+    utilities,
+)
 
 EMPTY = "Empty"
 INDEPENDENT = "Independent"
@@ -155,9 +164,11 @@ def _top_up_links(prof: StrategyProfile, players: np.ndarray, params: GameParams
     _, prof.x[players], prof.y[players] = _top_up(players, rows @ prof.x, rows @ prof.y, params)
 
 
-def _attach_to_core(x, y, g, core: tuple[int, ...], params: GameParams) -> None:
-    """Give every non-core player of the profile (x, y, g) their best subset
-    of links into the core, in place.
+def _attach_to_core(x, y, core: tuple[int, ...], params: GameParams) -> np.ndarray:
+    """Give every non-core player of the profile (x, y) their best subset of
+    links into the core: sets their contributions in place and returns each
+    player's option as compact links (``model._no_links``) of width |core|,
+    with no targets in the core's rows.
 
     One ``_top_up`` call prices every (non-core player, link option) pair:
     the options are ``_subset_members`` of the core in (size, lex) order,
@@ -181,11 +192,11 @@ def _attach_to_core(x, y, g, core: tuple[int, ...], params: GameParams) -> None:
     for o, u in enumerate((gross - params.k * sizes).T):
         better = u > best + EPS_DEV
         pick[better], best[better] = o, u[better]
-    links = np.zeros((others.size, params.n + 1), dtype=g.dtype)
-    links[np.arange(others.size)[:, None], np.append(core, params.n)[slots[pick]]] = 1
-    g[others] = links[:, :-1]
+    links = _no_links((params.n, len(core)), params.n)
+    links[others] = np.append(core, params.n)[slots[pick]]
     at = np.arange(others.size), pick
     x[others], y[others] = xi[at], yi[at]
+    return links
 
 
 def _core_links_pay(params: GameParams, a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -208,23 +219,28 @@ def _core_links_pay(params: GameParams, a, b) -> tuple[np.ndarray, np.ndarray]:
     return partial, collaborative
 
 
-def _template(x, y, g, params: GameParams, a: int, b: int, kind: str) -> None:
-    """Turn the isolated profile (x, y, g), in place, into the unverified
-    template of class ``kind`` on t_a > 1/2 > t_b (see the constructors)."""
-    g[b, a], x[b] = 1, 0.0
+def _template(x, y, links, params: GameParams, a: int, b: int, kind: str) -> None:
+    """Turn the isolated profile (x, y, links), in place, into the unverified
+    template of class ``kind`` on t_a > 1/2 > t_b (see the constructors).
+    ``links`` are compact links (``model._no_links``) at least 2 wide."""
+    x[b] = 0.0
     if kind == COLLABORATIVE:
-        g[a, b], y[a] = 1, 0.0
+        y[a] = 0.0
     else:
         y[b] -= params.y_hat[a]
-    _attach_to_core(x, y, g, (a, b), params)
+    links[:, :2] = _attach_to_core(x, y, (a, b), params)
+    links[b, 0] = a
+    if kind == COLLABORATIVE:
+        links[a, 0] = b
 
 
 def _construct_template(params: GameParams, a: int, b: int, kind: str) -> StrategyProfile | None:
     """The template if its core links pay and it verifies as ``kind``."""
     if not _core_links_pay(params, a, b)[kind == COLLABORATIVE]:
         return None
-    prof = StrategyProfile.isolated(params)
-    _template(prof.x, prof.y, prof.g, params, a, b, kind)
+    x, y, links = params.x_hat.copy(), params.y_hat.copy(), _no_links((params.n, 2), params.n)
+    _template(x, y, links, params, a, b, kind)
+    prof = StrategyProfile(x, y, _dense_links(links, params.n))
     return prof if verify_nash(prof, params).classification == kind else None
 
 
@@ -637,15 +653,16 @@ def _moderate_side_candidates(params: GameParams) -> tuple[np.ndarray, np.ndarra
 
 def _candidates(games: list[GameParams]):
     """The unverified candidates of a group of games as rows of one stack:
-    the group's _GameStack, X, Y, G, each row's game and tag (the class a
-    template needs, else None), and the candidates' rows in candidate
-    order.  The stack opens with one lockstep dynamics batch: per game, the
-    seeded starts (isolated, then anchored) and the repair of the greedy
-    independent profile (construct_independent; the greedy profile where it
-    does not settle).
+    the group's _GameStack, X, Y, compact links L (``model._no_links``),
+    each row's game and tag (the class a template needs, else None), and the
+    candidates' rows in candidate order.  The stack opens with one lockstep
+    dynamics batch, whose rows hold dense link matrices only while
+    ``_dynamics`` runs: per game, the seeded starts (isolated, then
+    anchored) and the repair of the greedy independent profile
+    (construct_independent; the greedy profile where it does not settle).
     Each game's candidates: the isolated profile, the independent one, the
     templates in (above, below) order, partial before collaborative, and the
-    settled dynamics rows."""
+    settled dynamics rows.  The templates are written straight into L."""
     n, per = games[0].n, _DYNAMICS_STARTS + 1  # dynamics rows per game
     size, cores = len(games) * per, []  # cores: each game's templates (a, b, collaborative)
     for params in games:
@@ -653,7 +670,7 @@ def _candidates(games: list[GameParams]):
         r, s, kind = np.nonzero(np.stack(_core_links_pay(params, above[:, None], below), axis=-1))
         cores.append(list(zip(above[r].tolist(), below[s].tolist(), kind.tolist())))
     total = size + sum(1 + len(c) for c in cores)
-    X, Y, G = np.empty((total, n)), np.empty((total, n)), np.zeros((total, n, n), dtype=np.int8)
+    X, Y, G = np.empty((total, n)), np.empty((total, n)), np.zeros((size, n, n), dtype=np.int8)
     game, tags = np.repeat(np.arange(len(games)), per).tolist(), [None] * total
     greedy = [_greedy_independent(params) for params in games]
     for g, params in enumerate(games):
@@ -663,21 +680,27 @@ def _candidates(games: list[GameParams]):
         X[repair], Y[repair], G[repair] = greedy[g].x, greedy[g].y, greedy[g].g
     seeded = [DynamicsConfig(order=RANDOM_PERMUTATION, seed=s) for s in range(_DYNAMICS_STARTS)]
     stack = _GameStack.of(games)
-    done = _dynamics(stack, np.array(game), X[:size], Y[:size], G[:size],
+    done = _dynamics(stack, np.array(game), X[:size], Y[:size], G,
                      [c for _ in games for c in seeded + [DynamicsConfig()]])
+    for g in np.flatnonzero(~done[_DYNAMICS_STARTS::per]):
+        repair = g * per + _DYNAMICS_STARTS
+        X[repair], Y[repair], G[repair] = greedy[g].x, greedy[g].y, greedy[g].g
+    ran = _compact_links(G)
+    # templates need two slots; the stack is cut to its largest out-degree below
+    L = _no_links((total, n, max(ran.shape[-1], 2)), n)
+    L[:size, :, : ran.shape[-1]] = ran
     order = []
     for g, (params, templates) in enumerate(zip(games, cores)):
         repair, row = g * per + _DYNAMICS_STARTS, len(game)
-        if not done[repair]:
-            X[repair], Y[repair], G[repair] = greedy[g].x, greedy[g].y, greedy[g].g
         game += [g] * (1 + len(templates))
         X[row : len(game)], Y[row : len(game)] = params.x_hat, params.y_hat
         for t, (a, b, collaborative) in enumerate(templates, start=row + 1):
             tags[t] = COLLABORATIVE if collaborative else PARTIALLY_COLLABORATIVE
-            _template(X[t], Y[t], G[t], params, a, b, tags[t])
+            _template(X[t], Y[t], L[t], params, a, b, tags[t])
         settled = g * per + np.flatnonzero(done[g * per : repair])
         order += [row, repair, *range(row + 1, len(game)), *settled.tolist()]
-    return stack, X, Y, G, np.array(game), tags, np.array(order)
+    L = L[:, :, : np.count_nonzero(L < n, axis=2).max(initial=0)].copy()
+    return stack, X, Y, L, np.array(game), tags, np.array(order)
 
 
 def welfare_max_equilibria(
@@ -690,10 +713,12 @@ def welfare_max_equilibria(
     Games are taken in groups of at most _KERNEL_CHUNK // n dynamics rows
     (so that even a one-position window of a group stays within the
     kernel's bound).  A group's candidates are rows of one stack, each
-    reading its own game's parameters: one lockstep dynamics batch, one
-    welfare pass and one deviation search per verification round serve the
-    whole group.  A long family is never held whole.  Each answer equals the
-    game's own ``welfare_max_equilibrium`` bit for bit.
+    reading its own game's parameters, with compact links: one lockstep
+    dynamics batch (on link matrices while it runs), one welfare pass (a
+    block of link matrices at a time) and one deviation search per
+    verification round serve the whole group.  A long family is never held
+    whole.  Each answer equals the game's own ``welfare_max_equilibrium``
+    bit for bit.
     """
     return ((prof, report) for prof, report, _ in _welfare_max_equilibria(games))
 
@@ -733,26 +758,41 @@ def welfare_max_equilibrium(params: GameParams) -> tuple[StrategyProfile, Equili
     return next(welfare_max_equilibria([params]))
 
 
+def _keys(L: np.ndarray, X: np.ndarray, Y: np.ndarray) -> list[bytes]:
+    """The dedup key of each candidate row: its compact links and its
+    contributions rounded to 10 decimals.  Compact links are canonical, so
+    two rows share a key exactly when their link matrices and rounded
+    contributions are equal."""
+    return [links.tobytes() + x.tobytes() + y.tobytes()
+            for links, x, y in zip(L, np.round(X, 10), np.round(Y, 10))]
+
+
 def _welfare_max(
     games: list[GameParams]
 ) -> list[tuple[StrategyProfile, EquilibriumReport, float]]:
     """welfare_max_equilibrium's lazy verification and tie scan for each
-    game of a group, with the answer's welfare.  One ``_welfare_totals`` pass
-    prices the candidate stack; each round, every unfinished game's
-    best-ranked unverified distinct profile goes into one ``_deviations``
-    search, so each game verifies what its own scan would.  Only profiles
-    that verify (for ``classify``) and the answers become StrategyProfiles."""
-    params, X, Y, G, game, tags, order = _candidates(games)
-    w = _welfare_totals(params, game, X, Y, G)
+    game of a group, with the answer's welfare.  ``_welfare_totals`` prices
+    the candidate stack a block of _KERNEL_CHUNK // n^2 rows (at least one)
+    at a time, the block's links expanded to link matrices; each round,
+    every unfinished game's best-ranked unverified distinct profile goes
+    into one ``_deviations`` search, so each game verifies what its own scan
+    would.  Only that round's profiles, the profiles that verify (for
+    ``classify``) and the answers get link matrices; the stack keeps compact
+    links."""
+    params, X, Y, L, game, tags, order = _candidates(games)
+    n = X.shape[1]
+    step = max(1, _KERNEL_CHUNK // (n * n))
+    w = np.concatenate([_welfare_totals(params, game[lo : lo + step], X[lo : lo + step],
+                                        Y[lo : lo + step], _dense_links(L[lo : lo + step], n))
+                        for lo in range(0, len(X), step)])
     ranked = []  # per game: (welfare, candidate rows) of each distinct profile, best first
     for g in range(len(games)):
         cand = order[game[order] == g]
-        # candidates sharing a key (links, and contributions to 10 decimals)
-        # share one report; as in a plain scan, the first of them that
-        # counts stands for the group
+        # candidates sharing a key share one report; as in a plain scan, the
+        # first of them that counts stands for the group
         groups: dict[bytes, list[int]] = {}
-        for r, x, y in zip(cand.tolist(), np.round(X[cand], 10), np.round(Y[cand], 10)):
-            groups.setdefault(G[r].tobytes() + x.tobytes() + y.tobytes(), []).append(r)
+        for r, key in zip(cand.tolist(), _keys(L[cand], X[cand], Y[cand])):
+            groups.setdefault(key, []).append(r)
         ranked.append(iter(sorted(((w[m].max(), m) for m in groups.values()),
                                   key=lambda item: -item[0])))
     accepted: list[list[tuple[int, EquilibriumReport]]] = [[] for _ in games]
@@ -763,10 +803,10 @@ def _welfare_max(
                     and not (accepted[g] and top < lowest[g] - _WELFARE_TIE_TOL)]:
         live = [g for g, _ in heads]
         rows = np.array([members[0] for _, members in heads], dtype=int)
-        found = _deviations(params, game[rows], X[rows], Y[rows], G[rows])
+        found = _deviations(params, game[rows], X[rows], Y[rows], _dense_links(L[rows], n))
         for (g, members), r, deviation in zip(heads, rows, found):
             if deviation is None:
-                report = classify(StrategyProfile(X[r], Y[r], G[r]))
+                report = classify(StrategyProfile(X[r], Y[r], _dense_links(L[r], n)))
                 first = next((m for m in members if tags[m] in (None, report.classification)),
                              None)
                 if first is not None:
@@ -789,5 +829,6 @@ def _welfare_max(
         if best is None:
             raise RuntimeError("no candidate survived verification")
         total, r, report = best
-        out.append((StrategyProfile(X[r].copy(), Y[r].copy(), G[r].copy()), report, total))
+        prof = StrategyProfile(X[r].copy(), Y[r].copy(), _dense_links(L[r], n))
+        out.append((prof, report, total))
     return out

@@ -114,11 +114,24 @@ def test_mode_key_is_ignored_and_mode_flag_is_gone(tmp_path):
     {"dist": {"kind": "truncnormal", "mean": None, "sd": 1.0}},
     {"benefit": {"family": "power", "exponent": None}},
     {"command": "verify"},
+    {"n": 12.7},
+    {"seed": 7.9},
+    {"c": True},
+    {"n": "12"},
+    {"command": "sweep_k", "k_grid": 5},
+    {"output": "o.csv"},
+    {"command": "subsidy", "subsidy": 5},
+    {"command": "law_of_few", "law_of_few": "n_list"},
+    {"command": "law_of_few", "law_of_few": {"n_list": 5}},
+    {"command": "extensions", "extensions": 3},
 ], ids=["k-text", "k-null", "c-text", "k_grid-text", "n-null", "n-inf", "seed-null",
-        "mean-null", "exponent-null", "record-k-null"])
+        "mean-null", "exponent-null", "record-k-null", "n-fraction", "seed-fraction",
+        "c-bool", "n-text", "k_grid-number", "output-text", "subsidy-number",
+        "law_of_few-text", "n_list-number", "extensions-number"])
 def test_malformed_number_is_config_error(tmp_path, capsys, change):
     cfg = _base_config(**change)
-    cfg["output"]["path"] = str(tmp_path / "o.json")
+    if isinstance(cfg["output"], dict):
+        cfg["output"]["path"] = str(tmp_path / "o.json")
     if "k_grid" in change:
         del cfg["k"]
     if cfg["command"] == "verify":

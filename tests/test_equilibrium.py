@@ -3,6 +3,7 @@
 import importlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ from netpublic import (
 )
 from netpublic import equilibrium as eq
 from netpublic.metrics import welfare
-from netpublic.model import _GameStack
+from netpublic.model import _GameStack, _compact_links, _dense_links
 from tests.conftest import BREADTHS, FAMILIES, random_scenario, random_types
 
 # the module; the package attribute of this name is the function
@@ -538,7 +539,9 @@ def test_attach_to_core_matches_reference_loop(family):
         start = StrategyProfile(x, y, g)
         want, got = start.copy(), start.copy()
         _attach_to_core_reference(want, core, params)
-        eq._attach_to_core(got.x, got.y, got.g, core, params)
+        outside = np.setdiff1d(np.arange(n), core)
+        links = eq._attach_to_core(got.x, got.y, core, params)
+        got.g[outside] = _dense_links(links[outside], n)
         assert np.array_equal(got.g, want.g), (trial, core)
         assert np.array_equal(got.x, want.x), (trial, core)
         assert np.array_equal(got.y, want.y), (trial, core)
@@ -856,7 +859,8 @@ def test_independent_repair_joins_the_dynamics_batch(monkeypatch, game, search):
 
     monkeypatch.setattr(eq, "_dynamics", counting)
     monkeypatch.setattr(br_module, "_breadth", recording)
-    _, X, Y, G, _, _, order = eq._candidates([params])
+    _, X, Y, L, _, _, order = eq._candidates([params])
+    G = _dense_links(L, params.n)
     starts = [("random_permutation", s) for s in range(eq._DYNAMICS_STARTS)]
     assert calls == [starts + [("round_robin", 0)]]
     assert breadths == {BREADTHS[search](params.n)}
@@ -873,6 +877,23 @@ def test_game_batch_rejects_mixed_sizes_and_families():
         with pytest.raises(ValueError, match="share n and the benefit family"):
             list(welfare_max_equilibria([log5, other]))
     assert list(welfare_max_equilibria([])) == []
+
+
+def test_log_sweep_group_holds_compact_links():
+    # the three games of configs/log_sweep.json in one group: 170 candidate
+    # rows at n = 200, which as link matrices alone held 6.8 MB; with compact
+    # links only the dynamics rows and one pricing or certification block are
+    # link matrices (the traced peak was 14.5 MB with every row dense)
+    types = sample_types(UNIFORM, 200, seed=7)
+    games = [GameParams(types, 1.0, k, BenefitSpec.log()) for k in (0.5, 0.98, 0.994)]
+    tracemalloc.start()
+    try:
+        got = list(welfare_max_equilibria(games))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [len(report.contributors) for _, report in got] == [2, 6, 10]
+    assert peak < 6e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
 def test_welfare_max_above_threshold_returns_empty():
@@ -1312,7 +1333,7 @@ def _scripted(monkeypatch, tagged, scripted):
         return EquilibriumReport(label, contributors, (), ())
 
     stack = [np.stack([p.x for p, _ in tagged]), np.stack([p.y for p, _ in tagged]),
-             np.stack([p.g for p, _ in tagged])]
+             _compact_links(np.stack([p.g for p, _ in tagged]))]
     tags = [tag for _, tag in tagged]
     order = np.arange(len(tagged))
     monkeypatch.setattr(eq, "_candidates",
