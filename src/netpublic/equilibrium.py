@@ -670,9 +670,10 @@ def _candidates(games: list[GameParams]):
         r, s, kind = np.nonzero(np.stack(_core_links_pay(params, above[:, None], below), axis=-1))
         cores.append(list(zip(above[r].tolist(), below[s].tolist(), kind.tolist())))
     total = size + sum(1 + len(c) for c in cores)
+    # before the dynamics rows exist: k_tilde's n x n temporaries outweigh them
+    greedy = [_greedy_independent(params) for params in games]
     X, Y, G = np.empty((total, n)), np.empty((total, n)), np.zeros((size, n, n), dtype=np.int8)
     game, tags = np.repeat(np.arange(len(games)), per).tolist(), [None] * total
-    greedy = [_greedy_independent(params) for params in games]
     for g, params in enumerate(games):
         lo, repair = g * per, g * per + _DYNAMICS_STARTS
         X[lo], Y[lo] = params.x_hat, params.y_hat

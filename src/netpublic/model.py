@@ -325,7 +325,7 @@ def _compact_links(G: np.ndarray) -> np.ndarray:
     """The link matrices G (..., n, n) as compact links (see ``_no_links``),
     as wide as the largest out-degree in G."""
     n = G.shape[-1]
-    degree = np.count_nonzero(G, axis=-1)
+    degree = G.sum(axis=-1)  # count_nonzero would allocate a bool copy of G
     L = _no_links(G.shape[:-1] + (int(degree.max(initial=0)),), n)
     *rows, j = np.nonzero(G)  # row-major: each row's targets ascending
     flat = degree.ravel()
