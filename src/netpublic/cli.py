@@ -118,7 +118,8 @@ def _parse_types(cfg: dict) -> np.ndarray:
         if "dist" in cfg or "n" in cfg:
             raise ConfigError("give either an explicit type list or (dist, n), not both")
         try:
-            return validate_types(np.asarray(cfg["types"], dtype=float))
+            return validate_types(np.array([_number(v, "types entry")
+                                            for v in _shaped(cfg, "types", list)]))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     if "n" not in cfg:
@@ -162,8 +163,9 @@ def _profile_payload(profile: StrategyProfile) -> dict:
 
 
 def _profile_from_payload(payload: dict, n: int) -> StrategyProfile:
-    """The profile a report embeds; a missing field or a link that is not a
-    pair of player indices in [0, n) is a ConfigError."""
+    """The profile a report embeds; a missing field, a contribution that is
+    not a number or a link that is not a pair of player indices in [0, n) is
+    a ConfigError."""
     if not isinstance(payload, dict) or not {"x", "y", "links"} <= payload.keys():
         raise ConfigError("a profile needs x, y and links")
     links = payload["links"]
@@ -177,7 +179,9 @@ def _profile_from_payload(payload: dict, n: int) -> StrategyProfile:
     g = np.zeros((n, n), dtype=np.int8)
     for i, j in links:
         g[i, j] = 1
-    return StrategyProfile(np.asarray(payload["x"], float), np.asarray(payload["y"], float), g)
+    x, y = ([_number(v, f"profile {key} entry") for v in _shaped(payload, key, list)]
+            for key in ("x", "y"))
+    return StrategyProfile(x, y, g)
 
 
 def _write_json(path: str, body: dict) -> None:

@@ -2,9 +2,12 @@
 
 The constructive routine anchors the extreme types first and then lets the
 remaining isolated players attach to successively less extreme anchors while
-a link pays for itself.  Two-player-core templates cover the collaborative
-variants.  Verification is a best-response scan; classification reads the
-network structure: contributors are exactly the players receiving links.
+a link pays for itself.  The two-player-core constructors build the
+collaborative variants on a given pair; the welfare-maximal search draws
+its candidates from the isolated profile, the independent construction and
+best-response dynamics.  Verification is a best-response scan;
+classification reads the network structure: contributors are exactly the
+players receiving links.
 """
 
 from __future__ import annotations
@@ -219,27 +222,26 @@ def _core_links_pay(params: GameParams, a, b) -> tuple[np.ndarray, np.ndarray]:
     return partial, collaborative
 
 
-def _template(x, y, links, params: GameParams, a: int, b: int, kind: str) -> None:
-    """Turn the isolated profile (x, y, links), in place, into the unverified
-    template of class ``kind`` on t_a > 1/2 > t_b (see the constructors).
-    ``links`` are compact links (``model._no_links``) at least 2 wide."""
+def _construct_template(params: GameParams, a: int, b: int, kind: str) -> StrategyProfile | None:
+    """The two-player-core profile of class ``kind`` on t_a > 1/2 > t_b, if
+    its core links pay and it verifies as ``kind``.
+
+    From the isolated profile, b drops x and sponsors a link to a; in the
+    collaborative core a drops y and links back to b, in the partially
+    collaborative one b tops up only the y gap to a.  Everyone else then
+    attaches to the core (``_attach_to_core``)."""
+    if not _core_links_pay(params, a, b)[kind == COLLABORATIVE]:
+        return None
+    x, y = params.x_hat.copy(), params.y_hat.copy()
     x[b] = 0.0
     if kind == COLLABORATIVE:
         y[a] = 0.0
     else:
         y[b] -= params.y_hat[a]
-    links[:, :2] = _attach_to_core(x, y, (a, b), params)
+    links = _attach_to_core(x, y, (a, b), params)
     links[b, 0] = a
     if kind == COLLABORATIVE:
         links[a, 0] = b
-
-
-def _construct_template(params: GameParams, a: int, b: int, kind: str) -> StrategyProfile | None:
-    """The template if its core links pay and it verifies as ``kind``."""
-    if not _core_links_pay(params, a, b)[kind == COLLABORATIVE]:
-        return None
-    x, y, links = params.x_hat.copy(), params.y_hat.copy(), _no_links((params.n, 2), params.n)
-    _template(x, y, links, params, a, b, kind)
     prof = StrategyProfile(x, y, _dense_links(links, params.n))
     return prof if verify_nash(prof, params).classification == kind else None
 
@@ -642,66 +644,42 @@ def _anchored_starts(params: GameParams) -> tuple[np.ndarray, np.ndarray, np.nda
     return X, Y, G
 
 
-def _moderate_side_candidates(params: GameParams) -> tuple[np.ndarray, np.ndarray]:
-    t = params.types
-    order = np.argsort(np.abs(t - 0.5), kind="stable")
-    above, below = order[t[order] > 0.5], order[t[order] < 0.5]
-    if params.n > 25:
-        above, below = above[:12], below[:12]
-    return above, below
-
-
 def _candidates(games: list[GameParams]):
     """The unverified candidates of a group of games as rows of one stack:
     the group's _GameStack, X, Y, compact links L (``model._no_links``),
-    each row's game and tag (the class a template needs, else None), and the
-    candidates' rows in candidate order.  The stack opens with one lockstep
-    dynamics batch, whose rows hold dense link matrices only while
-    ``_dynamics`` runs: per game, the seeded starts (isolated, then
-    anchored) and the repair of the greedy independent profile
-    (construct_independent; the greedy profile where it does not settle).
-    Each game's candidates: the isolated profile, the independent one, the
-    templates in (above, below) order, partial before collaborative, and the
-    settled dynamics rows.  The templates are written straight into L."""
+    each row's game, and the candidates' rows in candidate order.  The stack
+    opens with one lockstep dynamics batch, whose rows hold dense link
+    matrices only while ``_dynamics`` runs: per game, the seeded starts
+    (isolated, then anchored) and the repair of the greedy independent
+    profile (construct_independent; the greedy profile where it does not
+    settle).  One isolated row per game follows.  Each game's candidates:
+    the isolated profile, the independent one, and the settled dynamics
+    rows."""
     n, per = games[0].n, _DYNAMICS_STARTS + 1  # dynamics rows per game
-    size, cores = len(games) * per, []  # cores: each game's templates (a, b, collaborative)
-    for params in games:
-        above, below = _moderate_side_candidates(params)
-        r, s, kind = np.nonzero(np.stack(_core_links_pay(params, above[:, None], below), axis=-1))
-        cores.append(list(zip(above[r].tolist(), below[s].tolist(), kind.tolist())))
-    total = size + sum(1 + len(c) for c in cores)
+    size = len(games) * per
     # before the dynamics rows exist: k_tilde's n x n temporaries outweigh them
     greedy = [_greedy_independent(params) for params in games]
-    X, Y, G = np.empty((total, n)), np.empty((total, n)), np.zeros((size, n, n), dtype=np.int8)
-    game, tags = np.repeat(np.arange(len(games)), per).tolist(), [None] * total
+    X, Y = np.empty((size + len(games), n)), np.empty((size + len(games), n))
+    G = np.zeros((size, n, n), dtype=np.int8)
     for g, params in enumerate(games):
         lo, repair = g * per, g * per + _DYNAMICS_STARTS
-        X[lo], Y[lo] = params.x_hat, params.y_hat
+        X[[lo, size + g]], Y[[lo, size + g]] = params.x_hat, params.y_hat
         X[lo + 1 : repair], Y[lo + 1 : repair], G[lo + 1 : repair] = _anchored_starts(params)
         X[repair], Y[repair], G[repair] = greedy[g].x, greedy[g].y, greedy[g].g
     seeded = [DynamicsConfig(order=RANDOM_PERMUTATION, seed=s) for s in range(_DYNAMICS_STARTS)]
-    stack = _GameStack.of(games)
-    done = _dynamics(stack, np.array(game), X[:size], Y[:size], G,
+    stack, game = _GameStack.of(games), np.repeat(np.arange(len(games)), per)
+    done = _dynamics(stack, game, X[:size], Y[:size], G,
                      [c for _ in games for c in seeded + [DynamicsConfig()]])
-    for g in np.flatnonzero(~done[_DYNAMICS_STARTS::per]):
-        repair = g * per + _DYNAMICS_STARTS
-        X[repair], Y[repair], G[repair] = greedy[g].x, greedy[g].y, greedy[g].g
-    ran = _compact_links(G)
-    # templates need two slots; the stack is cut to its largest out-degree below
-    L = _no_links((total, n, max(ran.shape[-1], 2)), n)
-    L[:size, :, : ran.shape[-1]] = ran
     order = []
-    for g, (params, templates) in enumerate(zip(games, cores)):
-        repair, row = g * per + _DYNAMICS_STARTS, len(game)
-        game += [g] * (1 + len(templates))
-        X[row : len(game)], Y[row : len(game)] = params.x_hat, params.y_hat
-        for t, (a, b, collaborative) in enumerate(templates, start=row + 1):
-            tags[t] = COLLABORATIVE if collaborative else PARTIALLY_COLLABORATIVE
-            _template(X[t], Y[t], L[t], params, a, b, tags[t])
+    for g in range(len(games)):
+        repair = g * per + _DYNAMICS_STARTS
+        if not done[repair]:
+            X[repair], Y[repair], G[repair] = greedy[g].x, greedy[g].y, greedy[g].g
         settled = g * per + np.flatnonzero(done[g * per : repair])
-        order += [row, repair, *range(row + 1, len(game)), *settled.tolist()]
-    L = L[:, :, : np.count_nonzero(L < n, axis=2).max(initial=0)].copy()
-    return stack, X, Y, L, np.array(game), tags, np.array(order)
+        order += [size + g, repair, *settled.tolist()]
+    ran = _compact_links(G)
+    L = np.concatenate([ran, _no_links((len(games), n, ran.shape[-1]), n)])
+    return stack, X, Y, L, np.append(game, np.arange(len(games))), np.array(order)
 
 
 def welfare_max_equilibria(
@@ -739,15 +717,15 @@ def _welfare_max_equilibria(games: Iterable[GameParams]):
 def welfare_max_equilibrium(params: GameParams) -> tuple[StrategyProfile, EquilibriumReport]:
     """Best verified equilibrium from a structured candidate set.
 
-    Candidates: the empty profile, the independent construction, two-player
-    core templates over moderate pairs, and best-response dynamics from eight
-    seeded starts (one empty, seven anchored at interior type quantiles).
-    Ties go to independent networks, then to fewer contributors.
+    Candidates: the empty profile, the independent construction, and
+    best-response dynamics from eight seeded starts (one empty, seven
+    anchored at interior type quantiles).  Ties go to independent networks,
+    then to fewer contributors.  The two-player-core constructors are not
+    candidates; a core that the dynamics reach counts like any other profile.
 
     Candidates are built unverified and verified lazily, in descending
     welfare order, one best-response check (``verify_nash``'s) per distinct
-    profile.  A template counts only if it verifies as its own class; any
-    other candidate counts if it verifies at all.  Verification stops once
+    profile; a candidate counts if it verifies.  Verification stops once
     every unverified candidate lies more than the tie tolerance below the
     lowest accepted welfare: such a candidate can neither beat nor tie any
     accepted one, so the sequential tie scan, replayed over the accepted
@@ -777,59 +755,57 @@ def _welfare_max(
     at a time, the block's links expanded to link matrices; each round,
     every unfinished game's best-ranked unverified distinct profile goes
     into one ``_deviations`` search, so each game verifies what its own scan
-    would.  Only that round's profiles, the profiles that verify (for
-    ``classify``) and the answers get link matrices; the stack keeps compact
-    links."""
-    params, X, Y, L, game, tags, order = _candidates(games)
+    would.  Only that round's profiles and the profiles that verify get
+    link matrices; the stack keeps compact links.  A verified profile is
+    built once, classified, and returned as the answer if the tie scan
+    picks it."""
+    params, X, Y, L, game, order = _candidates(games)
     n = X.shape[1]
     step = max(1, _KERNEL_CHUNK // (n * n))
     w = np.concatenate([_welfare_totals(params, game[lo : lo + step], X[lo : lo + step],
                                         Y[lo : lo + step], _dense_links(L[lo : lo + step], n))
                         for lo in range(0, len(X), step)])
-    ranked = []  # per game: (welfare, candidate rows) of each distinct profile, best first
+    ranked = []  # per game: (welfare, first candidate row) of each distinct profile, best first
     for g in range(len(games)):
         cand = order[game[order] == g]
         # candidates sharing a key share one report; as in a plain scan, the
-        # first of them that counts stands for the group
+        # first of them stands for the group
         groups: dict[bytes, list[int]] = {}
         for r, key in zip(cand.tolist(), _keys(L[cand], X[cand], Y[cand])):
             groups.setdefault(key, []).append(r)
-        ranked.append(iter(sorted(((w[m].max(), m) for m in groups.values()),
+        ranked.append(iter(sorted(((w[m].max(), m[0]) for m in groups.values()),
                                   key=lambda item: -item[0])))
-    accepted: list[list[tuple[int, EquilibriumReport]]] = [[] for _ in games]
+    accepted: list[list[tuple[int, StrategyProfile, EquilibriumReport]]] = [[] for _ in games]
     lowest, live = [np.inf] * len(games), list(range(len(games)))
     # each live game's next head, while it can still beat or tie an accepted one
-    while heads := [(g, members) for g in live for top, members in [next(ranked[g], (None, None))]
-                    if members is not None
+    while heads := [(g, r) for g in live for top, r in [next(ranked[g], (None, None))]
+                    if r is not None
                     and not (accepted[g] and top < lowest[g] - _WELFARE_TIE_TOL)]:
         live = [g for g, _ in heads]
-        rows = np.array([members[0] for _, members in heads], dtype=int)
+        rows = np.array([r for _, r in heads], dtype=int)
         found = _deviations(params, game[rows], X[rows], Y[rows], _dense_links(L[rows], n))
-        for (g, members), r, deviation in zip(heads, rows, found):
+        for (g, r), deviation in zip(heads, found):
             if deviation is None:
-                report = classify(StrategyProfile(X[r], Y[r], _dense_links(L[r], n)))
-                first = next((m for m in members if tags[m] in (None, report.classification)),
-                             None)
-                if first is not None:
-                    accepted[g].append((first, report))
-                    lowest[g] = min(lowest[g], w[first])
+                # copies, so that an answer never holds a view of the stack
+                prof = StrategyProfile(X[r].copy(), Y[r].copy(), _dense_links(L[r], n))
+                accepted[g].append((r, prof, classify(prof)))
+                lowest[g] = min(lowest[g], w[r])
 
     rank = {r: k for k, r in enumerate(order.tolist())}  # candidate order
     out = []
     for scan in accepted:
-        best: tuple[float, int, EquilibriumReport] | None = None
-        for r, report in sorted(scan, key=lambda item: rank[item[0]]):
+        best: tuple[float, StrategyProfile, EquilibriumReport] | None = None
+        for r, prof, report in sorted(scan, key=lambda item: rank[item[0]]):
             if best is None or w[r] > best[0] + _WELFARE_TIE_TOL:
-                best = (w[r], r, report)
+                best = (w[r], prof, report)
             elif abs(w[r] - best[0]) <= _WELFARE_TIE_TOL and (
                 report.classification == INDEPENDENT != best[2].classification
                 or (report.classification == best[2].classification
                     and len(report.contributors) < len(best[2].contributors))
             ):
-                best = (w[r], r, report)
+                best = (w[r], prof, report)
         if best is None:
             raise RuntimeError("no candidate survived verification")
-        total, r, report = best
-        prof = StrategyProfile(X[r].copy(), Y[r].copy(), _dense_links(L[r], n))
+        total, prof, report = best
         out.append((prof, report, total))
     return out

@@ -124,16 +124,19 @@ def test_mode_key_is_ignored_and_mode_flag_is_gone(tmp_path):
     {"command": "law_of_few", "law_of_few": "n_list"},
     {"command": "law_of_few", "law_of_few": {"n_list": 5}},
     {"command": "extensions", "extensions": 3},
+    {"types": ["0", "0.5", True]},
 ], ids=["k-text", "k-null", "c-text", "k_grid-text", "n-null", "n-inf", "seed-null",
         "mean-null", "exponent-null", "record-k-null", "n-fraction", "seed-fraction",
         "c-bool", "n-text", "k_grid-number", "output-text", "subsidy-number",
-        "law_of_few-text", "n_list-number", "extensions-number"])
+        "law_of_few-text", "n_list-number", "extensions-number", "types-text-bool"])
 def test_malformed_number_is_config_error(tmp_path, capsys, change):
     cfg = _base_config(**change)
     if isinstance(cfg["output"], dict):
         cfg["output"]["path"] = str(tmp_path / "o.json")
     if "k_grid" in change:
         del cfg["k"]
+    if "types" in change:
+        del cfg["n"], cfg["dist"]
     if cfg["command"] == "verify":
         report = {"records": [{"k": None, "profile": {"x": [1.0] * 10, "y": [1.0] * 10,
                                                       "links": []}}]}
@@ -193,10 +196,12 @@ def test_verify_rejects_non_finite_profile(tmp_path):
     solve_out = tmp_path / "solve.json"
     cfg["output"]["path"] = str(solve_out)
     assert main(["--config", _write(tmp_path / "c.json", cfg)]) == 0
-    for field, bad in (("x", float("nan")), ("y", float("inf"))):
+    # non-finite, text and bool entries
+    cases = (("x", float("nan")), ("y", float("inf")), ("x", "1.0"), ("y", True))
+    for case, (field, bad) in enumerate(cases):
         report = json.loads(solve_out.read_text())
         report["records"][0]["profile"][field][1] = bad
-        bad_report = _write(tmp_path / f"bad_{field}.json", report)
+        bad_report = _write(tmp_path / f"bad_{case}.json", report)
         vcfg = _base_config(n=8, command="verify", verify_profile=bad_report)
         vcfg["output"]["path"] = str(tmp_path / "verify.json")
         assert main(["--config", _write(tmp_path / "v.json", vcfg)]) == 2

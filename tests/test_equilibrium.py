@@ -320,10 +320,22 @@ def test_link_gain_matches_scalar_and_matrix_references():
                        for i, j in zip(pick, rng.integers(0, n, pick.size)))
 
 
+def _moderate_pairs(params):
+    """The players above and below 1/2, each side in ascending distance from
+    1/2 (stable), cut to the 12 nearest a side when n > 25: the two-player
+    cores the welfare-max search once tried as templates."""
+    t = params.types
+    order = np.argsort(np.abs(t - 0.5), kind="stable")
+    above, below = order[t[order] > 0.5], order[t[order] < 0.5]
+    if params.n > 25:
+        above, below = above[:12], below[:12]
+    return above, below
+
+
 def test_template_pay_check_matches_scalar_reference():
     # the pre-checks the two-player-core builders made one pair at a time
     for params in _gain_games():
-        above, below = eq._moderate_side_candidates(params)
+        above, below = _moderate_pairs(params)
         partial, collaborative = eq._core_links_pay(params, above[:, None], below)
         for r, a in enumerate(above.tolist()):
             for s, b in enumerate(below.tolist()):
@@ -859,7 +871,7 @@ def test_independent_repair_joins_the_dynamics_batch(monkeypatch, game, search):
 
     monkeypatch.setattr(eq, "_dynamics", counting)
     monkeypatch.setattr(br_module, "_breadth", recording)
-    _, X, Y, L, _, _, order = eq._candidates([params])
+    _, X, Y, L, _, order = eq._candidates([params])
     G = _dense_links(L, params.n)
     starts = [("random_permutation", s) for s in range(eq._DYNAMICS_STARTS)]
     assert calls == [starts + [("round_robin", 0)]]
@@ -1192,9 +1204,11 @@ def _eager_scan(candidates, params):
 
 
 def _eager_welfare_max(params):
-    """The candidate list rebuilt from the public constructors, scanned eagerly."""
+    """The candidate list rebuilt from the public constructors, scanned
+    eagerly; it also holds every two-player-core template on the moderate
+    pairs that verifies as its own class, which the lazy search leaves out."""
     candidates = [StrategyProfile.isolated(params), construct_independent(params)]
-    above, below = eq._moderate_side_candidates(params)
+    above, below = _moderate_pairs(params)
     for a in above:
         for b in below:
             for construct in (construct_partially_collaborative, construct_collaborative):
@@ -1244,8 +1258,7 @@ def test_lazy_welfare_max_matches_eager_scan(game):
 
 
 def _rounds_games():
-    """Three n = 12 log games whose own lazy scans verify 3, 2 and 1
-    profiles: the first two rank profiles that fail verification first."""
+    """Three n = 12 log games, the second the first at a higher k."""
     log = BenefitSpec.log()
     first = GameParams(
         np.array([0.0, 0.0905, 0.2125, 0.213, 0.276, 0.3307, 0.3733, 0.5953, 0.7886, 0.8009,
@@ -1257,7 +1270,31 @@ def _rounds_games():
                   0.9798, 1.0]), 1.7694, 0.1829, log,
         np.array([1.7525, 2.2339, 1.1903, 1.4976, 1.7416, 2.5359, 2.6378, 1.6844, 1.0344, 0.8937,
                   1.6972, 2.0272]))
-    return [first, second, first.with_k(0.5)]
+    return [first, first.with_k(0.5), second]
+
+
+def _scripted_rejections(monkeypatch, games, fails):
+    """Wrap the real _deviations so that it also reports a deviation for the
+    first fails[g] profiles that games[g]'s own scan verifies.  A rejection
+    is keyed on the profile's bytes, so a game alone and the same game in a
+    group reject the same profiles.  Returns the list to which each search
+    appends its (game, profile key) pairs."""
+    real, rejected, searches = eq._deviations, set(), []
+
+    def scripted(params, game, X, Y, G):
+        keys = [x.tobytes() + y.tobytes() + links.tobytes() for x, y, links in zip(X, Y, G)]
+        searches.append(list(zip(game.tolist(), keys)))
+        return [Deviation(0, (), 0.0, 0.0, 1.0) if key in rejected else deviation
+                for key, deviation in zip(keys, real(params, game, X, Y, G))]
+
+    monkeypatch.setattr(eq, "_deviations", scripted)
+    for params, count in zip(games, fails):
+        for _ in range(count):
+            searches.clear()
+            welfare_max_equilibrium(params)
+            rejected.add(next(key for s in searches for _, key in s if key not in rejected))
+    searches.clear()
+    return searches
 
 
 def test_group_rounds_verify_each_games_own_profiles(monkeypatch):
@@ -1265,14 +1302,7 @@ def test_group_rounds_verify_each_games_own_profiles(monkeypatch):
     # profile of every game still scanning: all three games, then the two
     # whose profile failed, then the one that failed twice
     games = _rounds_games()
-    real, searches = eq._deviations, []
-
-    def recording(params, game, X, Y, G):
-        searches.append([(int(g), x.tobytes() + y.tobytes() + links.tobytes())
-                         for g, x, y, links in zip(game, X, Y, G)])
-        return real(params, game, X, Y, G)
-
-    monkeypatch.setattr(eq, "_deviations", recording)
+    searches = _scripted_rejections(monkeypatch, games, (2, 1, 0))
     alone = []
     for params in games:
         searches.clear()
@@ -1292,19 +1322,14 @@ def test_group_rounds_verify_each_games_own_profiles(monkeypatch):
 def test_group_rounds_make_no_empty_search(monkeypatch, rng):
     # the rounds end once no game has a profile left to verify, so each
     # deviation search of a group gets at least one profile
-    real, sizes = eq._deviations, []
-
-    def recording(params, game, X, Y, G):
-        sizes.append(len(X))
-        return real(params, game, X, Y, G)
-
-    monkeypatch.setattr(eq, "_deviations", recording)
+    searches = _scripted_rejections(monkeypatch, _rounds_games(), (2, 1, 0))
     assert len(list(welfare_max_equilibria(_rounds_games()))) == 3
-    assert sizes == [3, 2, 1]
+    assert [len(s) for s in searches] == [3, 2, 1]
     base = random_scenario(rng, 8)
-    sizes.clear()
+    searches.clear()
     family = [base.with_k(base.k * f) for f in (0.5, 1.0, 1.5, 2.0)]
     assert len(list(welfare_max_equilibria(family))) == 4
+    sizes = [len(s) for s in searches]
     assert sizes and min(sizes) >= 1 and sizes[0] == 4
 
 
@@ -1313,10 +1338,11 @@ def _dummy(i):
     return StrategyProfile(np.array([float(i), 0.0, 0.0]), np.zeros(3), np.zeros((3, 3)))
 
 
-def _scripted(monkeypatch, tagged, scripted):
-    """Make welfare_max_equilibrium see `tagged` candidates whose welfare and
-    report come from `scripted` (profile index -> (welfare, class, contributors)).
-    Returns the eager answer over the same candidates and the verify count."""
+def _scripted(monkeypatch, profiles, scripted):
+    """Make welfare_max_equilibrium see the candidates `profiles`, whose
+    welfare and report come from `scripted` (profile index -> (welfare,
+    class, contributors)).  Returns the eager answer over the same candidates
+    and the verify count."""
     def lookup(prof):
         return scripted[int(prof.x[0])]
 
@@ -1332,21 +1358,17 @@ def _scripted(monkeypatch, tagged, scripted):
         _, label, contributors = lookup(prof)
         return EquilibriumReport(label, contributors, (), ())
 
-    stack = [np.stack([p.x for p, _ in tagged]), np.stack([p.y for p, _ in tagged]),
-             _compact_links(np.stack([p.g for p, _ in tagged]))]
-    tags = [tag for _, tag in tagged]
-    order = np.arange(len(tagged))
+    stack = [np.stack([p.x for p in profiles]), np.stack([p.y for p in profiles]),
+             _compact_links(np.stack([p.g for p in profiles]))]
+    order = np.arange(len(profiles))
     monkeypatch.setattr(eq, "_candidates",
-                        lambda games: (None, *stack, np.zeros(len(tagged), dtype=int), tags,
-                                       order))
+                        lambda games: (None, *stack, np.zeros(len(profiles), dtype=int), order))
     monkeypatch.setattr(eq, "_deviations", fake_deviations)
     monkeypatch.setattr(eq, "classify", fake_classify)
     monkeypatch.setattr(eq, "_welfare_totals",
                         lambda params, game, X, Y, G: np.array([scripted[int(x[0])][0] for x in X]))
     params = _params([0.0, 0.5, 1.0])
-    # the eager list holds only templates that pass their class check
-    eager = [p for p, tag in tagged if tag is None or fake_classify(p).classification == tag]
-    want = _eager_scan(eager, params)
+    want = _eager_scan(profiles, params)
     calls.clear()
     return params, want, calls
 
@@ -1360,9 +1382,7 @@ def test_lazy_tie_chain_prefers_later_independent(monkeypatch):
         3: (1.0 - 1.8 * tol, "Independent", (0, 2)),
         4: (0.5, "Independent", (0,)),
     }
-    tagged = [(_dummy(0), None), (_dummy(1), "Collaborative"), (_dummy(2), None),
-              (_dummy(3), None), (_dummy(4), None)]
-    params, want, calls = _scripted(monkeypatch, tagged, scripted)
+    params, want, calls = _scripted(monkeypatch, [_dummy(i) for i in range(5)], scripted)
     prof, report = welfare_max_equilibrium(params)
     # the core candidate has the highest welfare, yet an Independent within
     # tolerance takes the tie, and a second step (1.8 tol below the core)
@@ -1372,20 +1392,3 @@ def test_lazy_tie_chain_prefers_later_independent(monkeypatch):
     assert report.classification == want[1].classification == "Independent"
     # candidates well below the accepted band are never verified
     assert sorted(calls) == [1, 2, 3]
-
-
-def test_failed_template_does_not_shadow_dynamics_profile(monkeypatch):
-    scripted = {
-        0: (0.0, "Empty", ()),
-        1: (2.0, "PartiallyCollaborative", (1, 2)),
-    }
-    # the collaborative template and a dynamics run land on the same profile,
-    # which verifies as partially collaborative: the template is dropped, the
-    # dynamics copy still counts
-    tagged = [(_dummy(0), None), (_dummy(1), "Collaborative"), (_dummy(1), None)]
-    params, want, calls = _scripted(monkeypatch, tagged, scripted)
-    prof, report = welfare_max_equilibrium(params)
-    assert int(want[0].x[0]) == 1
-    assert int(prof.x[0]) == 1
-    assert report.classification == "PartiallyCollaborative"
-    assert calls == [1]

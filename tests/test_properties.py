@@ -389,7 +389,7 @@ def _assert_priced_like_welfare(games, X, Y, G, game):
 @settings(derandomize=True, database=None, deadline=None, max_examples=15)
 @given(game_families())
 def test_group_welfare_pass_matches_welfare_bit_for_bit(games):
-    _, X, Y, L, game, _, _ = eq._candidates(games)
+    _, X, Y, L, game, _ = eq._candidates(games)
     G = _dense_links(L, games[0].n)
     _assert_priced_like_welfare(games, X, Y, G, game)
 
@@ -399,7 +399,7 @@ def test_group_welfare_pass_splits_within_its_row_bound_and_keeps_minus_inf(monk
     rng = np.random.default_rng(20261019)
     types = np.array([0.0, *np.sort(rng.uniform(0.001, 0.999, 8)), 1.0])
     games = [GameParams(types, 1.0, k, BenefitSpec.log()) for k in np.linspace(0.05, 0.6, 12)]
-    _, X, Y, L, game, _, _ = eq._candidates(games)
+    _, X, Y, L, game, _ = eq._candidates(games)
     G = _dense_links(L, 10)
     # and one dominated row: an interior player consumes no x
     dominated = StrategyProfile.isolated(games[0])
@@ -433,7 +433,7 @@ def _holds_by_scalar_loop(prof, params):
 def test_group_deviation_search_matches_each_profile_alone(games):
     # every profile row of a group (candidates and unsettled dynamics rows)
     # in one search, each read in its own game
-    _, X, Y, L, game, _, _ = eq._candidates(games)
+    _, X, Y, L, game, _ = eq._candidates(games)
     G = _dense_links(L, games[0].n)
     found = _deviations(_GameStack.of(games), game, X, Y, G)
     for r, g in enumerate(game.tolist()):
