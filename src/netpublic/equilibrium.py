@@ -30,16 +30,7 @@ from .best_response import (
     find_profitable_deviation,
 )
 from .metrics import _welfare_totals
-from .model import (
-    EPS_DEV,
-    GameParams,
-    StrategyProfile,
-    _GameStack,
-    _compact_links,
-    _dense_links,
-    _no_links,
-    utilities,
-)
+from .model import EPS_DEV, GameParams, StrategyProfile, _GameStack, utilities
 
 EMPTY = "Empty"
 INDEPENDENT = "Independent"
@@ -169,9 +160,8 @@ def _top_up_links(prof: StrategyProfile, players: np.ndarray, params: GameParams
 
 def _attach_to_core(x, y, core: tuple[int, ...], params: GameParams) -> np.ndarray:
     """Give every non-core player of the profile (x, y) their best subset of
-    links into the core: sets their contributions in place and returns each
-    player's option as compact links (``model._no_links``) of width |core|,
-    with no targets in the core's rows.
+    links into the core: sets their contributions in place and returns the
+    players' links as an n x n int8 matrix whose core rows are empty.
 
     One ``_top_up`` call prices every (non-core player, link option) pair:
     the options are ``_subset_members`` of the core in (size, lex) order,
@@ -195,11 +185,11 @@ def _attach_to_core(x, y, core: tuple[int, ...], params: GameParams) -> np.ndarr
     for o, u in enumerate((gross - params.k * sizes).T):
         better = u > best + EPS_DEV
         pick[better], best[better] = o, u[better]
-    links = _no_links((params.n, len(core)), params.n)
-    links[others] = np.append(core, params.n)[slots[pick]]
+    links = np.zeros((params.n, params.n + 1), dtype=np.int8)  # column n: the padding slot
+    links[others[:, None], np.append(core, params.n)[slots[pick]]] = 1
     at = np.arange(others.size), pick
     x[others], y[others] = xi[at], yi[at]
-    return links
+    return np.ascontiguousarray(links[:, :-1])
 
 
 def _core_links_pay(params: GameParams, a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -238,11 +228,11 @@ def _construct_template(params: GameParams, a: int, b: int, kind: str) -> Strate
         y[a] = 0.0
     else:
         y[b] -= params.y_hat[a]
-    links = _attach_to_core(x, y, (a, b), params)
-    links[b, 0] = a
+    g = _attach_to_core(x, y, (a, b), params)
+    g[b, a] = 1
     if kind == COLLABORATIVE:
-        links[a, 0] = b
-    prof = StrategyProfile(x, y, _dense_links(links, params.n))
+        g[a, b] = 1
+    prof = StrategyProfile(x, y, g)
     return prof if verify_nash(prof, params).classification == kind else None
 
 
@@ -646,21 +636,19 @@ def _anchored_starts(params: GameParams) -> tuple[np.ndarray, np.ndarray, np.nda
 
 def _candidates(games: list[GameParams]):
     """The unverified candidates of a group of games as rows of one stack:
-    the group's _GameStack, X, Y, compact links L (``model._no_links``),
-    each row's game, and the candidates' rows in candidate order.  The stack
-    opens with one lockstep dynamics batch, whose rows hold dense link
-    matrices only while ``_dynamics`` runs: per game, the seeded starts
-    (isolated, then anchored) and the repair of the greedy independent
-    profile (construct_independent; the greedy profile where it does not
-    settle).  One isolated row per game follows.  Each game's candidates:
-    the isolated profile, the independent one, and the settled dynamics
-    rows."""
+    the group's _GameStack, X, Y, the int8 link matrices G, each row's game,
+    and the candidates' rows in candidate order.  The stack opens with one
+    lockstep dynamics batch: per game, the seeded starts (isolated, then
+    anchored) and the repair of the greedy independent profile
+    (construct_independent; the greedy profile where it does not settle).
+    One isolated row per game follows.  Each game's candidates: the isolated
+    profile, the independent one, and the settled dynamics rows."""
     n, per = games[0].n, _DYNAMICS_STARTS + 1  # dynamics rows per game
     size = len(games) * per
     # before the dynamics rows exist: k_tilde's n x n temporaries outweigh them
     greedy = [_greedy_independent(params) for params in games]
     X, Y = np.empty((size + len(games), n)), np.empty((size + len(games), n))
-    G = np.zeros((size, n, n), dtype=np.int8)
+    G = np.zeros((size + len(games), n, n), dtype=np.int8)
     for g, params in enumerate(games):
         lo, repair = g * per, g * per + _DYNAMICS_STARTS
         X[[lo, size + g]], Y[[lo, size + g]] = params.x_hat, params.y_hat
@@ -668,7 +656,7 @@ def _candidates(games: list[GameParams]):
         X[repair], Y[repair], G[repair] = greedy[g].x, greedy[g].y, greedy[g].g
     seeded = [DynamicsConfig(order=RANDOM_PERMUTATION, seed=s) for s in range(_DYNAMICS_STARTS)]
     stack, game = _GameStack.of(games), np.repeat(np.arange(len(games)), per)
-    done = _dynamics(stack, game, X[:size], Y[:size], G,
+    done = _dynamics(stack, game, X[:size], Y[:size], G[:size],
                      [c for _ in games for c in seeded + [DynamicsConfig()]])
     order = []
     for g in range(len(games)):
@@ -677,9 +665,7 @@ def _candidates(games: list[GameParams]):
             X[repair], Y[repair], G[repair] = greedy[g].x, greedy[g].y, greedy[g].g
         settled = g * per + np.flatnonzero(done[g * per : repair])
         order += [size + g, repair, *settled.tolist()]
-    ran = _compact_links(G)
-    L = np.concatenate([ran, _no_links((len(games), n, ran.shape[-1]), n)])
-    return stack, X, Y, L, np.append(game, np.arange(len(games))), np.array(order)
+    return stack, X, Y, G, np.append(game, np.arange(len(games))), np.array(order)
 
 
 def welfare_max_equilibria(
@@ -691,13 +677,12 @@ def welfare_max_equilibria(
 
     Games are taken in groups of at most _KERNEL_CHUNK // n dynamics rows
     (so that even a one-position window of a group stays within the
-    kernel's bound).  A group's candidates are rows of one stack, each
-    reading its own game's parameters, with compact links: one lockstep
-    dynamics batch (on link matrices while it runs), one welfare pass (a
-    block of link matrices at a time) and one deviation search per
-    verification round serve the whole group.  A long family is never held
-    whole.  Each answer equals the game's own ``welfare_max_equilibrium``
-    bit for bit.
+    kernel's bound).  A group's candidates are rows of one stack of
+    contributions and int8 link matrices, each reading its own game's
+    parameters: one lockstep dynamics batch, one welfare pass and one
+    deviation search per verification round serve the whole group.  A long
+    family is never held whole.  Each answer equals the game's own
+    ``welfare_max_equilibrium`` bit for bit.
     """
     return ((prof, report) for prof, report, _ in _welfare_max_equilibria(games))
 
@@ -737,41 +722,36 @@ def welfare_max_equilibrium(params: GameParams) -> tuple[StrategyProfile, Equili
     return next(welfare_max_equilibria([params]))
 
 
-def _keys(L: np.ndarray, X: np.ndarray, Y: np.ndarray) -> list[bytes]:
-    """The dedup key of each candidate row: its compact links and its
-    contributions rounded to 10 decimals.  Compact links are canonical, so
-    two rows share a key exactly when their link matrices and rounded
-    contributions are equal."""
-    return [links.tobytes() + x.tobytes() + y.tobytes()
-            for links, x, y in zip(L, np.round(X, 10), np.round(Y, 10))]
+def _keys(G: np.ndarray, X: np.ndarray, Y: np.ndarray, rows: np.ndarray) -> list[bytes]:
+    """The dedup key of each row r of ``rows``: the positions of G[r]'s links
+    and X[r] and Y[r] rounded to 10 decimals.  The contributions are as long
+    in every row, so two rows share a key exactly when their link matrices
+    and rounded contributions are equal."""
+    # rounded in one call: row by row, rounding took 5 % of a CLI subsidy run at n = 10
+    Xr, Yr = np.round(X[rows], 10), np.round(Y[rows], 10)
+    return [np.flatnonzero(G[r]).tobytes() + x.tobytes() + y.tobytes()
+            for r, x, y in zip(rows.tolist(), Xr, Yr)]
 
 
 def _welfare_max(
     games: list[GameParams]
 ) -> list[tuple[StrategyProfile, EquilibriumReport, float]]:
     """welfare_max_equilibrium's lazy verification and tie scan for each
-    game of a group, with the answer's welfare.  ``_welfare_totals`` prices
-    the candidate stack a block of _KERNEL_CHUNK // n^2 rows (at least one)
-    at a time, the block's links expanded to link matrices; each round,
-    every unfinished game's best-ranked unverified distinct profile goes
-    into one ``_deviations`` search, so each game verifies what its own scan
-    would.  Only that round's profiles and the profiles that verify get
-    link matrices; the stack keeps compact links.  A verified profile is
-    built once, classified, and returned as the answer if the tie scan
-    picks it."""
-    params, X, Y, L, game, order = _candidates(games)
-    n = X.shape[1]
-    step = max(1, _KERNEL_CHUNK // (n * n))
-    w = np.concatenate([_welfare_totals(params, game[lo : lo + step], X[lo : lo + step],
-                                        Y[lo : lo + step], _dense_links(L[lo : lo + step], n))
-                        for lo in range(0, len(X), step)])
+    game of a group, with the answer's welfare.  One ``_welfare_totals``
+    call prices the candidate stack; each round, every unfinished game's
+    best-ranked unverified distinct profile goes into one ``_deviations``
+    search, so each game verifies what its own scan would.  A verified
+    profile is built once, from copies of its stack rows, classified, and
+    returned as the answer if the tie scan picks it."""
+    params, X, Y, G, game, order = _candidates(games)
+    w = _welfare_totals(params, game, X, Y, G)
     ranked = []  # per game: (welfare, first candidate row) of each distinct profile, best first
     for g in range(len(games)):
         cand = order[game[order] == g]
         # candidates sharing a key share one report; as in a plain scan, the
         # first of them stands for the group
         groups: dict[bytes, list[int]] = {}
-        for r, key in zip(cand.tolist(), _keys(L[cand], X[cand], Y[cand])):
+        for r, key in zip(cand.tolist(), _keys(G, X, Y, cand)):
             groups.setdefault(key, []).append(r)
         ranked.append(iter(sorted(((w[m].max(), m[0]) for m in groups.values()),
                                   key=lambda item: -item[0])))
@@ -783,11 +763,11 @@ def _welfare_max(
                     and not (accepted[g] and top < lowest[g] - _WELFARE_TIE_TOL)]:
         live = [g for g, _ in heads]
         rows = np.array([r for _, r in heads], dtype=int)
-        found = _deviations(params, game[rows], X[rows], Y[rows], _dense_links(L[rows], n))
+        found = _deviations(params, game[rows], X[rows], Y[rows], G[rows])
         for (g, r), deviation in zip(heads, found):
             if deviation is None:
                 # copies, so that an answer never holds a view of the stack
-                prof = StrategyProfile(X[r].copy(), Y[r].copy(), _dense_links(L[r], n))
+                prof = StrategyProfile(X[r].copy(), Y[r].copy(), G[r].copy())
                 accepted[g].append((r, prof, classify(prof)))
                 lowest[g] = min(lowest[g], w[r])
 

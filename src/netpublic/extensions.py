@@ -411,7 +411,11 @@ def perturbation_robustness(
 
     Each trial re-solves contributions on the fixed network and then checks
     every player for a profitable link deviation under the perturbed utility.
+    The shock bound must be finite and non-negative; 0 draws zero shocks.
     """
+    # the cost shifts are drawn from [-eps_bound, eps_bound], whose width must be finite
+    if not (math.isfinite(2.0 * eps_bound) and eps_bound >= 0):
+        raise ValueError("eps_bound must be finite and non-negative")
     if params.n > 8:
         raise ValueError("robustness checks are limited to n <= 8")
     if trials < 1:
@@ -420,15 +424,15 @@ def perturbation_robustness(
     n = params.n
     preserved = 0
     for _ in range(trials):
-        e1 = min(rng.uniform(0.0, eps_bound) if eps_bound > 0 else 0.0, 3.0)
+        e1 = min(rng.uniform(0.0, eps_bound), 3.0)
         if 0.99 < e1 < 1.01:
             e1 = 0.99
         pert = PerturbationParams(
             eps1=e1,
-            eps2=min(rng.uniform(0.0, eps_bound) if eps_bound > 0 else 0.0, 1.0),
-            eps3=min(rng.uniform(0.0, eps_bound) if eps_bound > 0 else 0.0, 1.0),
-            eps4=rng.uniform(-eps_bound, eps_bound, n) if eps_bound > 0 else np.zeros(n),
-            eps5=rng.uniform(-eps_bound, eps_bound, n) if eps_bound > 0 else np.zeros(n),
+            eps2=min(rng.uniform(0.0, eps_bound), 1.0),
+            eps3=min(rng.uniform(0.0, eps_bound), 1.0),
+            eps4=rng.uniform(-eps_bound, eps_bound, n),
+            eps5=rng.uniform(-eps_bound, eps_bound, n),
         )
         try:
             x, y = perturbed_contributions(profile.g, params, pert)

@@ -311,38 +311,6 @@ class StrategyProfile:
         self.y[i] = yi
 
 
-def _no_links(shape: tuple[int, ...], n: int) -> np.ndarray:
-    """Compact links of the given shape (..., n, width) that hold no link.
-
-    Compact links store each player's targets ascending in one row of slots,
-    padded with n, in the smallest integer type that holds n; a stack of
-    them is as wide as its largest out-degree.  ``_dense_links`` expands
-    them into link matrices and ``_compact_links`` folds matrices back."""
-    return np.full(shape, n, dtype=np.min_scalar_type(n))
-
-
-def _compact_links(G: np.ndarray) -> np.ndarray:
-    """The 0/1 link matrices G (..., n, n) as compact links (see
-    ``_no_links``), as wide as the largest out-degree in G."""
-    n = G.shape[-1]
-    # read as bool, the scan for links runs about 9x faster than on int8
-    at = np.flatnonzero(np.asarray(G, dtype=np.int8).view(bool))  # each row's targets ascending
-    row, j = np.divmod(at, n)
-    degree = np.bincount(row, minlength=G.size // n)
-    L = _no_links(G.shape[:-1] + (int(degree.max(initial=0)),), n)
-    slot = np.arange(at.size) - np.repeat(np.cumsum(degree) - degree, degree)
-    L.reshape(G.size // n, L.shape[-1])[row, slot] = j
-    return L
-
-
-def _dense_links(L: np.ndarray, n: int) -> np.ndarray:
-    """The int8 link matrices (..., n, n) of compact links L."""
-    G = np.zeros(L.shape[:-1] + (n,), dtype=np.int8)
-    *rows, slot = np.nonzero(L < n)
-    G[(*rows, L[(*rows, slot)])] = 1
-    return G
-
-
 def spillovers(profile: StrategyProfile, i: int) -> tuple[float, float]:
     """Provision player i accesses through sponsored links."""
     row = profile.g[i]

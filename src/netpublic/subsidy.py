@@ -126,10 +126,12 @@ def planner(
 ) -> tuple[SubsidyPlan, StrategyProfile, str]:
     """Welfare-best feasible subsidy plan under the stated budget.
 
-    The budget must be finite and non-negative.
+    The budget must be finite and non-negative, and the grid sizes non-negative.
     """
     if not (math.isfinite(budget) and budget >= 0):
         raise ValueError("budget must be finite and non-negative")
+    if target_grid < 0 or level_grid < 0:
+        raise ValueError("target_grid and level_grid must be non-negative")
     base_prof, base_report = welfare_max_equilibrium(params)
     if budget == 0:
         plan = SubsidyPlan(np.zeros(params.n), 0.0, 0.0)

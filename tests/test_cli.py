@@ -125,10 +125,13 @@ def test_mode_key_is_ignored_and_mode_flag_is_gone(tmp_path):
     {"command": "law_of_few", "law_of_few": {"n_list": 5}},
     {"command": "extensions", "extensions": 3},
     {"types": ["0", "0.5", True]},
+    {"command": "subsidy", "subsidy": {"budget": 0.5, "target_grid": -3, "level_grid": 4}},
+    {"command": "subsidy", "subsidy": {"budget": 0.5, "target_grid": 3, "level_grid": -3}},
 ], ids=["k-text", "k-null", "c-text", "k_grid-text", "n-null", "n-inf", "seed-null",
         "mean-null", "exponent-null", "record-k-null", "n-fraction", "seed-fraction",
         "c-bool", "n-text", "k_grid-number", "output-text", "subsidy-number",
-        "law_of_few-text", "n_list-number", "extensions-number", "types-text-bool"])
+        "law_of_few-text", "n_list-number", "extensions-number", "types-text-bool",
+        "target_grid-negative", "level_grid-negative"])
 def test_malformed_number_is_config_error(tmp_path, capsys, change):
     cfg = _base_config(**change)
     if isinstance(cfg["output"], dict):
@@ -327,3 +330,18 @@ def test_non_finite_subsidy_budget_is_config_error(tmp_path):
         path = _write(tmp_path / "c.json", cfg)
         assert literal in (tmp_path / "c.json").read_text()
         assert main(["--config", path]) == 2
+
+
+@pytest.mark.parametrize("eps_bound, literal", [
+    (float("nan"), "NaN"), (-0.5, "-0.5"), (float("inf"), "Infinity"), (1e308, "1e+308"),
+], ids=["nan", "negative", "inf", "draw-width-overflow"])
+def test_perturbed_extension_rejects_bad_eps_bound(tmp_path, capsys, eps_bound, literal):
+    cfg = _base_config(command="extensions", n=5,
+                       extensions={"variant": "perturbed", "eps_bound": eps_bound, "trials": 3})
+    cfg["output"]["path"] = str(tmp_path / "o.json")
+    path = _write(tmp_path / "c.json", cfg)
+    assert f'"eps_bound": {literal}' in (tmp_path / "c.json").read_text()
+    assert main(["--config", path]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "o.json").exists()
+

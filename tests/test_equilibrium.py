@@ -39,7 +39,7 @@ from netpublic import (
 )
 from netpublic import equilibrium as eq
 from netpublic.metrics import welfare
-from netpublic.model import _GameStack, _compact_links, _dense_links
+from netpublic.model import _GameStack
 from tests.conftest import BREADTHS, FAMILIES, random_scenario, random_types
 
 # the module; the package attribute of this name is the function
@@ -553,7 +553,7 @@ def test_attach_to_core_matches_reference_loop(family):
         _attach_to_core_reference(want, core, params)
         outside = np.setdiff1d(np.arange(n), core)
         links = eq._attach_to_core(got.x, got.y, core, params)
-        got.g[outside] = _dense_links(links[outside], n)
+        got.g[outside] = links[outside]
         assert np.array_equal(got.g, want.g), (trial, core)
         assert np.array_equal(got.x, want.x), (trial, core)
         assert np.array_equal(got.y, want.y), (trial, core)
@@ -871,8 +871,7 @@ def test_independent_repair_joins_the_dynamics_batch(monkeypatch, game, search):
 
     monkeypatch.setattr(eq, "_dynamics", counting)
     monkeypatch.setattr(br_module, "_breadth", recording)
-    _, X, Y, L, _, order = eq._candidates([params])
-    G = _dense_links(L, params.n)
+    _, X, Y, G, _, order = eq._candidates([params])
     starts = [("random_permutation", s) for s in range(eq._DYNAMICS_STARTS)]
     assert calls == [starts + [("round_robin", 0)]]
     assert breadths == {BREADTHS[search](params.n)}
@@ -891,11 +890,10 @@ def test_game_batch_rejects_mixed_sizes_and_families():
     assert list(welfare_max_equilibria([])) == []
 
 
-def test_log_sweep_group_holds_compact_links():
-    # the three games of configs/log_sweep.json in one group: 170 candidate
-    # rows at n = 200, which as link matrices alone held 6.8 MB; with compact
-    # links only the dynamics rows and one pricing or certification block are
-    # link matrices (the traced peak was 14.5 MB with every row dense)
+def test_log_sweep_group_stays_within_its_traced_peak():
+    # the three games of configs/log_sweep.json in one group: 30 candidate
+    # rows at n = 200, whose int8 link matrices hold 1.2 MB; the bound also
+    # covers the group's pricing and certification temporaries
     types = sample_types(UNIFORM, 200, seed=7)
     games = [GameParams(types, 1.0, k, BenefitSpec.log()) for k in (0.5, 0.98, 0.994)]
     tracemalloc.start()
@@ -1359,7 +1357,7 @@ def _scripted(monkeypatch, profiles, scripted):
         return EquilibriumReport(label, contributors, (), ())
 
     stack = [np.stack([p.x for p in profiles]), np.stack([p.y for p in profiles]),
-             _compact_links(np.stack([p.g for p in profiles]))]
+             np.stack([p.g for p in profiles])]
     order = np.arange(len(profiles))
     monkeypatch.setattr(eq, "_candidates",
                         lambda games: (None, *stack, np.zeros(len(profiles), dtype=int), order))

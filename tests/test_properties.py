@@ -41,7 +41,7 @@ from netpublic.best_response import (
     _top_up,
 )
 from netpublic.metrics import _welfare_totals, welfare
-from netpublic.model import _GameStack, _compact_links, _dense_links
+from netpublic.model import _GameStack
 from tests.conftest import (
     FAMILIES,
     gross_utilities,
@@ -389,8 +389,7 @@ def _assert_priced_like_welfare(games, X, Y, G, game):
 @settings(derandomize=True, database=None, deadline=None, max_examples=15)
 @given(game_families())
 def test_group_welfare_pass_matches_welfare_bit_for_bit(games):
-    _, X, Y, L, game, _ = eq._candidates(games)
-    G = _dense_links(L, games[0].n)
+    _, X, Y, G, game, _ = eq._candidates(games)
     _assert_priced_like_welfare(games, X, Y, G, game)
 
 
@@ -399,8 +398,7 @@ def test_group_welfare_pass_splits_within_its_row_bound_and_keeps_minus_inf(monk
     rng = np.random.default_rng(20261019)
     types = np.array([0.0, *np.sort(rng.uniform(0.001, 0.999, 8)), 1.0])
     games = [GameParams(types, 1.0, k, BenefitSpec.log()) for k in np.linspace(0.05, 0.6, 12)]
-    _, X, Y, L, game, _ = eq._candidates(games)
-    G = _dense_links(L, 10)
+    _, X, Y, G, game, _ = eq._candidates(games)
     # and one dominated row: an interior player consumes no x
     dominated = StrategyProfile.isolated(games[0])
     dominated.x[4] = 0.0
@@ -433,41 +431,13 @@ def _holds_by_scalar_loop(prof, params):
 def test_group_deviation_search_matches_each_profile_alone(games):
     # every profile row of a group (candidates and unsettled dynamics rows)
     # in one search, each read in its own game
-    _, X, Y, L, game, _ = eq._candidates(games)
-    G = _dense_links(L, games[0].n)
+    _, X, Y, G, game, _ = eq._candidates(games)
     found = _deviations(_GameStack.of(games), game, X, Y, G)
     for r, g in enumerate(game.tolist()):
         prof, params = StrategyProfile(X[r], Y[r], G[r]), games[g]
         assert found[r] == find_profitable_deviation(prof, params)
         if params.n <= 8:
             assert (found[r] is None) == _holds_by_scalar_loop(prof, params)
-
-
-@st.composite
-def link_stacks(draw):
-    """1 to 4 zero-diagonal 0/1 link matrices on 2 to 300 players (past
-    uint8's 255), with an empty row and a row of n - 1 links."""
-    n = draw(st.integers(2, 300))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    G = (rng.random((draw(st.integers(1, 4)), n, n)) < draw(st.floats(0.0, 1.0))).astype(np.int8)
-    G[0, 0] = 0
-    G[-1, -1] = 1
-    G[:, np.arange(n), np.arange(n)] = 0
-    return G
-
-
-@settings(derandomize=True, database=None, deadline=None, max_examples=40)
-@given(link_stacks())
-def test_compact_links_round_trip(G):
-    n = G.shape[-1]
-    L = _compact_links(G)
-    # each target padded with n, in the smallest type holding n, as wide as
-    # the largest out-degree (the full row's n - 1)
-    assert L.dtype == np.min_scalar_type(n) and L.shape == G.shape[:-1] + (n - 1,)
-    back = _dense_links(L, n)
-    assert back.dtype == np.int8 and back.shape == G.shape
-    assert back.tobytes() == G.tobytes()
-    assert _dense_links(L[0], n).tobytes() == G[0].tobytes()
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -483,7 +453,7 @@ def test_candidate_keys_match_links_and_rounded_contributions(n, seed):
     codes = rng.integers(0, 4, (3, 2, n))[rng.integers(0, 3, 12)]
     codes[(codes == 2) & (rng.random(codes.shape) < 0.5)] = 4
     X, Y = np.array([0.0, 0.5, 1 / 3, 1 / 3 + 1e-9, 1 / 3 + 1e-12])[codes].transpose(1, 0, 2)
-    keys = eq._keys(_compact_links(G), X, Y)
+    keys = eq._keys(G, X, Y, np.arange(12))
     Xr, Yr = np.round(X, 10), np.round(Y, 10)
     shared = 0
     for r, s in itertools.combinations(range(12), 2):
