@@ -23,7 +23,8 @@ import numpy as np
 
 from .model import EPS_DEV, GameParams, StrategyProfile, gross_value, utilities
 
-# bounds temporaries: rows x subsets per pass, players x n per deviation block or window row
+# bounds temporaries: rows x subsets per kernel pass, and (player, state row) entries x n
+# per deviation block or dynamics step, whose live rows' windows share the bound
 _KERNEL_CHUNK = 1 << 13
 
 

@@ -534,7 +534,7 @@ def verify_nash(profile: StrategyProfile, params: GameParams) -> EquilibriumRepo
 
 def _dynamics(params, game, X, Y, G, configs: list[DynamicsConfig]) -> np.ndarray:
     """Best-response dynamics from every start (X[r], Y[r], G[r]) at once,
-    stepped in lockstep, in place; returns which rows settled.
+    in place; returns which rows settled.
 
     Row r plays game game[r] of params (parameter index game * n + i), as
     in ``_deviations``.  Row r replays the sequential run from its start
@@ -542,58 +542,73 @@ def _dynamics(params, game, X, Y, G, configs: list[DynamicsConfig]) -> np.ndarra
     PCG64(seed) (a fresh permutation per round, or index order for round
     robin), and the players best-respond one at a time, adopting a response
     that beats their current utility by more than EPS_DEV.  Rows drawing from
-    one seed share one stream: each draws once per round while live, so the
-    round's draw is the one the row's own stream would give.  All live rows
-    stand at the same (round, position) and look ahead over a window of
-    their next w positions: one kernel call and one ``utilities`` pass
-    evaluate every entry against its row's current state, each reading its
-    own game, with the search ``best_response`` uses at this n.  The window
-    ends at its earliest position where some row's player improves, and
-    every row's move there is applied; no row moved before it, so each row
-    replays its run bit for bit.  w doubles after a window without a move,
-    up to _KERNEL_CHUNK // (n x live rows), which bounds the window's state
-    rows, and drops back to 1 after a move.  A row settles once a round
-    changes nothing; a row still changing after max_rounds rounds stops
-    where it stands, unsettled.
+    one seed share one stream's draws: a row in round r reads the stream's
+    r-th permutation, drawn once when the first row of that seed gets there.
+    Each row keeps its own round, position and window width w, and looks
+    ahead over its next min(w, n - position) positions, and at most
+    _KERNEL_CHUNK // (n x live rows), which bounds the window's state rows.
+    Each step, one kernel call and one ``utilities`` pass evaluate every live
+    row's window against that row's own current state, each reading its own
+    game, with the search ``best_response`` uses at this n.  A row applies
+    its window's earliest improving entry, drops the entries after it and
+    moves on just past it; nothing before that entry improved and rows never
+    read each other's state, so each row replays its run bit for bit.  w
+    doubles after a window without a move (up to n) and stays after a move.
+    A row settles once a round changes nothing; a row still changing after
+    max_rounds rounds stops where it stands, unsettled.
     """
     b, n = len(X), params.n
     base = game * n  # parameter index of each row's player 0
     indeg = G.sum(axis=1)
-    drawn = np.array([c.order == RANDOM_PERMUTATION for c in configs])
-    seeds = np.array([c.seed for c in configs])
-    streams = {s: np.random.Generator(np.random.PCG64(s)) for s in set(seeds[drawn].tolist())}
+    seeds, stream = np.unique([c.seed for c in configs], return_inverse=True)
+    stream[[c.order != RANDOM_PERMUTATION for c in configs]] = -1  # -1: round robin
+    # each drawn seed's stream and the permutations it has drawn so far
+    draws = {s: (np.random.Generator(np.random.PCG64(int(seeds[s]))), [])
+             for s in set(stream.tolist()) - {-1}}
     budget = np.array([c.max_rounds for c in configs])
+    span = int(budget.max())
+    orders = np.tile(np.arange(n), (b, 1))  # each row's player order in its current round
+
+    def deal(rows, rounds):
+        """Give drawing rows their stream's draw of their round, one
+        assignment per (stream, round) group."""
+        key = stream[rows] * span + rounds
+        for k in np.unique(key[stream[rows] >= 0]).tolist():
+            (gen, drawn), r = draws[k // span], k % span
+            while len(drawn) <= r:
+                drawn.append(gen.permutation(n))
+            orders[rows[key == k]] = drawn[r]
+
+    deal(np.arange(b), np.zeros(b, dtype=int))
     settled = np.zeros(b, dtype=bool)
-    live, width = np.arange(b), 1
-    for rnd in range(int(budget.max())):
-        live = live[budget[live] > rnd]
-        if not live.size:
-            break
-        orders = np.tile(np.arange(n), (live.size, 1))
-        for s in set(seeds[live[drawn[live]]].tolist()):
-            orders[drawn[live] & (seeds[live] == s)] = streams[s].permutation(n)
-        changed, pos = np.zeros(b, dtype=bool), 0
-        cap = max(1, _KERNEL_CHUNK // (n * live.size))
-        while pos < n:
-            w = min(width, n - pos)
-            i, src = orders[:, pos : pos + w].ravel(), np.repeat(live, w)
-            who = base[src] + i
-            links, new_x, new_y, new_u = _responses(who, src, X, Y, indeg, params)
-            better = new_u > utilities(params, who, X[src], Y[src], G[src, i]) + EPS_DEV
-            better = better.reshape(-1, w)
-            hit = better.any(axis=0)
-            if not hit.any():
-                pos, width = pos + w, min(2 * width, cap)
-                continue
-            q = int(np.argmax(hit))
-            idx = np.flatnonzero(better[:, q]) * w + q
+    # per live row: its round, position, window width and whether the round moved
+    live, rnd, pos, width = np.arange(b), np.zeros(b, int), np.zeros(b, int), np.ones(b, int)
+    changed = np.zeros(b, dtype=bool)
+    while live.size:
+        w = np.minimum(np.minimum(width, n - pos), max(1, _KERNEL_CHUNK // (n * live.size)))
+        src, first = np.repeat(live, w), np.cumsum(w) - w
+        step = np.arange(src.size) - np.repeat(first, w)  # entry's offset in its row's window
+        i = orders[src, np.repeat(pos, w) + step]
+        who = base[src] + i
+        links, new_x, new_y, new_u = _responses(who, src, X, Y, indeg, params)
+        hit = np.flatnonzero(new_u > utilities(params, who, X[src], Y[src], G[src, i]) + EPS_DEV)
+        grown = np.minimum(2 * width, n)
+        if hit.size:  # each row applies its earliest improving entry, drops the rest
+            idx = hit[np.flatnonzero(np.diff(src[hit], prepend=-1))]
+            row = np.searchsorted(first, idx, side="right") - 1
             moved, i = src[idx], i[idx]
             indeg[moved] += links[idx] - G[moved, i]
             G[moved, i], X[moved, i], Y[moved, i] = links[idx], new_x[idx], new_y[idx]
-            changed[moved] = True
-            pos, width = pos + q + 1, 1
-        settled[live[~changed[live]]] = True
-        live = live[changed[live]]
+            changed[row], w[row], grown[row] = True, step[idx] + 1, width[row]
+        pos, width = pos + w, grown
+        done = pos == n
+        if done.any():  # end of a round: settle, run out or start the next
+            settled[live[done & ~changed]] = True
+            going = done & changed & (rnd + 1 < budget[live])
+            rnd[going], pos[going], changed[going] = rnd[going] + 1, 0, False
+            deal(live[going], rnd[going])
+            keep = ~done | going
+            live, rnd, pos, width, changed = (a[keep] for a in (live, rnd, pos, width, changed))
     return settled
 
 
@@ -638,9 +653,10 @@ def _candidates(games: list[GameParams]):
     """The unverified candidates of a group of games as rows of one stack:
     the group's _GameStack, X, Y, the int8 link matrices G, each row's game,
     and the candidates' rows in candidate order.  The stack opens with one
-    lockstep dynamics batch: per game, the seeded starts (isolated, then
-    anchored) and the repair of the greedy independent profile
-    (construct_independent; the greedy profile where it does not settle).
+    ``_dynamics`` batch, each row on its own round, position and window:
+    per game, the seeded starts (isolated, then anchored) and the repair of
+    the greedy independent profile (construct_independent; the greedy
+    profile where it does not settle).
     One isolated row per game follows.  Each game's candidates: the isolated
     profile, the independent one, and the settled dynamics rows."""
     n, per = games[0].n, _DYNAMICS_STARTS + 1  # dynamics rows per game
@@ -676,10 +692,11 @@ def welfare_max_equilibria(
     may differ).
 
     Games are taken in groups of at most _KERNEL_CHUNK // n dynamics rows
-    (so that even a one-position window of a group stays within the
+    (so that even one position of every row's window stays within the
     kernel's bound).  A group's candidates are rows of one stack of
     contributions and int8 link matrices, each reading its own game's
-    parameters: one lockstep dynamics batch, one welfare pass and one
+    parameters: one dynamics batch (each row stepping through its own run,
+    one kernel call a step for all of them), one welfare pass and one
     deviation search per verification round serve the whole group.  A long
     family is never held whole.  Each answer equals the game's own
     ``welfare_max_equilibrium`` bit for bit.

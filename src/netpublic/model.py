@@ -42,9 +42,20 @@ class TruncNormal:
         # would never finish
         if not (math.isfinite(self.mean) and math.isfinite(self.sd) and self.sd > 0):
             raise ValueError("mean and sd must be finite and sd positive")
+        # so too when [0, 1] holds no probability mass in double precision
+        low, high = self.bounds
+        if high - low <= 0.0:
+            raise ValueError("the normal puts no probability mass on [0, 1]")
+
+    @property
+    def bounds(self) -> tuple[float, float]:
+        """The normal CDF at 0 and at 1."""
+        return (normal_cdf((0.0 - self.mean) / self.sd), normal_cdf((1.0 - self.mean) / self.sd))
 
 
 UNIFORM = "uniform"
+# consecutive re-drawn types after which draw_interior_types gives up
+_MAX_REDRAWS = 1000
 
 # Rational approximation of the standard normal quantile (Acklam's
 # coefficients), refined with one Halley step so the result is accurate to
@@ -92,8 +103,7 @@ def _draw_one(dist, rng) -> float:
     if dist == UNIFORM:
         return u
     if isinstance(dist, TruncNormal):
-        a = normal_cdf((0.0 - dist.mean) / dist.sd)
-        b = normal_cdf((1.0 - dist.mean) / dist.sd)
+        a, b = dist.bounds
         p = a + u * (b - a)
         if not 0.0 < p < 1.0:
             return 0.0 if p <= 0.0 else 1.0
@@ -106,13 +116,22 @@ def draw_interior_types(dist, count: int, rng) -> list[float]:
 
     Collisions (with earlier draws or with the endpoints) are re-drawn, which
     keeps the realized vector consistent with a continuous distribution.
+    Raises ValueError after _MAX_REDRAWS re-draws in a row, as when the
+    distribution holds too few distinct doubles in (0, 1) for ``count``
+    types (say, sd 1e-18 at mean 0.5, where every draw is 0.5).
     """
     seen: set[float] = set()
     out: list[float] = []
+    misses = 0
     while len(out) < count:
         t = _draw_one(dist, rng)
         if t <= 0.0 or t >= 1.0 or t in seen:
+            misses += 1
+            if misses > _MAX_REDRAWS:
+                raise ValueError(f"no {count} distinct interior types: "
+                                 f"{_MAX_REDRAWS} re-draws in a row after {len(out)}")
             continue
+        misses = 0
         seen.add(t)
         out.append(t)
     return out

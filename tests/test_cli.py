@@ -1,10 +1,15 @@
 """Scenario runner: config handling, report formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import netpublic
 from netpublic import BenefitSpec, GameParams
 from netpublic.cli import main
 
@@ -321,6 +326,24 @@ def test_non_finite_truncnormal_is_config_error(tmp_path):
         cfg = _base_config(dist={"kind": "truncnormal", "mean": mean, "sd": sd})
         cfg["output"]["path"] = str(tmp_path / "o.json")
         assert main(["--config", _write(tmp_path / "c.json", cfg)]) == 2
+
+
+@pytest.mark.parametrize("mean, sd", [(50.0, 1.0), (0.5, 1e-18)],
+                         ids=["no-mass", "one-value"])
+def test_degenerate_truncnormal_exits_2_without_hanging(tmp_path, mean, sd):
+    # mean 50: both CDF values at 0 and 1 round to 0, so every draw is 0;
+    # sd 1e-18: every draw is 0.5 and collides.  Sampling used to re-draw
+    # forever, so the CLI runs in its own process under a timeout
+    cfg = _base_config(dist={"kind": "truncnormal", "mean": mean, "sd": sd})
+    cfg["output"]["path"] = str(tmp_path / "o.json")
+    src = str(Path(netpublic.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-m", "netpublic.cli", "--config",
+                           _write(tmp_path / "c.json", cfg)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 2, done.stderr
+    assert not (tmp_path / "o.json").exists()
 
 
 def test_non_finite_subsidy_budget_is_config_error(tmp_path):

@@ -1,5 +1,6 @@
 """Equilibrium construction, verification, classification, and the oracle."""
 
+import hashlib
 import importlib
 import itertools
 import math
@@ -689,8 +690,8 @@ def test_dynamics_seeds_may_disagree_but_both_verify():
 
 
 def _dynamics_reference(start, params, config):
-    """The per-player loop best_response_dynamics ran before lockstep
-    batching; None where the round budget runs out."""
+    """The per-player loop best_response_dynamics ran before batching;
+    None where the round budget runs out."""
     prof = start.copy()
     rng = np.random.Generator(np.random.PCG64(config.seed))
     for _ in range(config.max_rounds):
@@ -792,8 +793,9 @@ def test_lockstep_dynamics_matches_sequential(game):
     # the batch works on copies
     assert starts[0].g.sum() == 0 and np.array_equal(starts[0].x, params.x_hat)
 
-    # a row at an equilibrium next to an isolated row: the settled row's
-    # windows end wherever the isolated row's players move
+    # a row at an equilibrium next to an isolated row: each row keeps its
+    # own windows, so the settled row's widths double while the isolated
+    # row's players move
     batch, configs = [], []
     if want[0] is not None:
         batch += [want[0], StrategyProfile.isolated(params)]
@@ -848,6 +850,63 @@ def test_settled_row_confirms_in_logarithmic_kernel_calls(monkeypatch, game):
     assert out.g.tobytes() == settled.g.tobytes()
     assert len(calls) == math.ceil(math.log2(params.n + 1)) < params.n
     assert sum(calls) == params.n
+
+
+def _kernel_calls(monkeypatch, run):
+    """The kernel calls run() makes through equilibrium._responses, and its
+    result."""
+    calls = []
+    real = eq._responses
+
+    def counting(*args):
+        calls.append(len(args[0]))
+        return real(*args)
+
+    monkeypatch.setattr(eq, "_responses", counting)
+    try:
+        out = run()
+    finally:
+        monkeypatch.undo()
+    return len(calls), out
+
+
+@pytest.mark.parametrize("game", [3, 12])
+def test_dynamics_rows_do_not_slow_each_other(monkeypatch, game):
+    # each row keeps its own round, position and window width, so while no
+    # window reaches the kernel bound (n^2 x rows <= _KERNEL_CHUNK) a batch
+    # makes one kernel call per window of its longest-running row
+    params = _dynamics_games()[game]
+    starts = [StrategyProfile.isolated(params), _dense_start(params)]
+    configs = [DynamicsConfig(order="random_permutation", seed=1), DynamicsConfig()]
+    assert params.n ** 2 * len(starts) <= eq._KERNEL_CHUNK
+    alone = [_kernel_calls(monkeypatch, lambda: _run_dynamics([s], [params], [c]))
+             for s, c in zip(starts, configs)]
+    calls, got = _kernel_calls(monkeypatch, lambda: _run_dynamics(starts, [params] * 2, configs))
+    _assert_same_runs(got, [run[0] for _, run in alone])
+    assert calls == max(c for c, _ in alone)
+
+
+def test_heavy_criterion_1_game_keeps_its_answer_in_fewer_kernel_calls(monkeypatch):
+    # scenario 1 of criterion 1's generator (n = 49, sqrt): most of its nine
+    # dynamics rows cycle until the round budget runs out.  In lockstep, with
+    # every row's move ending every row's window, its dynamics made 1,890
+    # kernel calls
+    rng = np.random.default_rng(20240801)
+    for idx in range(2):
+        n = int(rng.integers(5, 51))
+        types = np.array(sorted([0.0] + list(rng.uniform(size=n - 2)) + [1.0]))
+        spec = FAMILIES[idx % 3]
+        c = float(rng.uniform(0.5, 2.0))
+        k = float(rng.uniform(0.02, 1.2)) * k_tilde(GameParams(types, c, 1.0, spec))
+    params = GameParams(types, c, k, spec)
+    assert (params.n, spec.family) == (49, "sqrt")
+    calls, (prof, report) = _kernel_calls(monkeypatch, lambda: welfare_max_equilibrium(params))
+    assert calls <= 1890 // 2
+    assert (report.classification, report.contributors) == ("Independent", (0, 48))
+    assert welfare(prof, params)[0] == 30.038536978249645
+    assert int(prof.g.sum()) == 92
+    digest = hashlib.sha256(prof.x.tobytes() + prof.y.tobytes() + prof.g.tobytes()).hexdigest()
+    assert digest == "96f6b2095f31c788825af9ffab3778cb9cf52a9d2e134362e1376e55037aa142"
 
 
 @pytest.mark.parametrize("game,search", [(7, "exact"), (10, "structural")],

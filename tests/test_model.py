@@ -246,6 +246,9 @@ def test_truncnormal_rejects_bad_parameters():
                      (float("inf"), 1.0)):
         with pytest.raises(ValueError):
             TruncNormal(mean, sd)
+    # [0, 1] lies 49 sd below the mean, where both CDF values round to 0
+    with pytest.raises(ValueError, match="no probability mass"):
+        TruncNormal(50.0, 1.0)
 
 
 def test_truncnormal_mean_against_quadrature():

@@ -362,7 +362,7 @@ def game_families(draw):
 @settings(derandomize=True, database=None, deadline=None, max_examples=25)
 @given(game_families())
 def test_game_batch_matches_each_games_own_solve(games):
-    # each row of the lockstep batch reads its own game's types, costs and
+    # each row of the dynamics batch reads its own game's types, costs and
     # k; a row reading another game's would change that game's answer
     got = list(welfare_max_equilibria(games))
     assert len(got) == len(games)
