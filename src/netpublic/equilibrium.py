@@ -553,18 +553,21 @@ def _dynamics(params, game, X, Y, G, configs: list[DynamicsConfig]) -> np.ndarra
     its window's earliest improving entry, drops the entries after it and
     moves on just past it; nothing before that entry improved and rows never
     read each other's state, so each row replays its run bit for bit.  w
-    doubles after a window without a move (up to n) and stays after a move.
+    doubles after a window without a move (up to n); after a move it stays,
+    but at most four times the entries the row used, so a row whose moves
+    come close together does not keep paying for a wide window.
     A row settles once a round changes nothing; a row still changing after
     max_rounds rounds stops where it stands, unsettled.
     """
     b, n = len(X), params.n
     base = game * n  # parameter index of each row's player 0
     indeg = G.sum(axis=1)
-    seeds, stream = np.unique([c.seed for c in configs], return_inverse=True)
-    stream[[c.order != RANDOM_PERMUTATION for c in configs]] = -1  # -1: round robin
+    # each row's stream, -1 for round robin (by dict: np.unique would load numpy.ma)
+    streams: dict[int, int] = {}
+    stream = np.array([streams.setdefault(c.seed, len(streams))
+                       if c.order == RANDOM_PERMUTATION else -1 for c in configs])
     # each drawn seed's stream and the permutations it has drawn so far
-    draws = {s: (np.random.Generator(np.random.PCG64(int(seeds[s]))), [])
-             for s in set(stream.tolist()) - {-1}}
+    draws = {s: (np.random.Generator(np.random.PCG64(seed)), []) for seed, s in streams.items()}
     budget = np.array([c.max_rounds for c in configs])
     span = int(budget.max())
     orders = np.tile(np.arange(n), (b, 1))  # each row's player order in its current round
@@ -573,7 +576,7 @@ def _dynamics(params, game, X, Y, G, configs: list[DynamicsConfig]) -> np.ndarra
         """Give drawing rows their stream's draw of their round, one
         assignment per (stream, round) group."""
         key = stream[rows] * span + rounds
-        for k in np.unique(key[stream[rows] >= 0]).tolist():
+        for k in set(key[stream[rows] >= 0].tolist()):
             (gen, drawn), r = draws[k // span], k % span
             while len(drawn) <= r:
                 drawn.append(gen.permutation(n))
@@ -587,19 +590,22 @@ def _dynamics(params, game, X, Y, G, configs: list[DynamicsConfig]) -> np.ndarra
     while live.size:
         w = np.minimum(np.minimum(width, n - pos), max(1, _KERNEL_CHUNK // (n * live.size)))
         src, first = np.repeat(live, w), np.cumsum(w) - w
-        step = np.arange(src.size) - np.repeat(first, w)  # entry's offset in its row's window
-        i = orders[src, np.repeat(pos, w) + step]
+        col = np.arange(src.size) + np.repeat(pos - first, w)  # entry's place in its row's order
+        i = orders[src, col]
         who = base[src] + i
         links, new_x, new_y, new_u = _responses(who, src, X, Y, indeg, params)
         hit = np.flatnonzero(new_u > utilities(params, who, X[src], Y[src], G[src, i]) + EPS_DEV)
         grown = np.minimum(2 * width, n)
         if hit.size:  # each row applies its earliest improving entry, drops the rest
-            idx = hit[np.flatnonzero(np.diff(src[hit], prepend=-1))]
+            lead = np.ones(hit.size, dtype=bool)  # first hit of its row
+            lead[1:] = src[hit[1:]] != src[hit[:-1]]
+            idx = hit[lead]
             row = np.searchsorted(first, idx, side="right") - 1
             moved, i = src[idx], i[idx]
             indeg[moved] += links[idx] - G[moved, i]
             G[moved, i], X[moved, i], Y[moved, i] = links[idx], new_x[idx], new_y[idx]
-            changed[row], w[row], grown[row] = True, step[idx] + 1, width[row]
+            changed[row], w[row] = True, col[idx] - pos[row] + 1
+            grown[row] = np.minimum(width[row], 4 * w[row])
         pos, width = pos + w, grown
         done = pos == n
         if done.any():  # end of a round: settle, run out or start the next

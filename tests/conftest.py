@@ -24,6 +24,19 @@ def random_scenario(rng, n: int, k_span=(0.02, 1.2)) -> GameParams:
     return GameParams(types, c, k, spec)
 
 
+def criterion_1_games(count: int = 200):
+    """Criterion 1's games in order: n in [5, 50], the three families in
+    turn, k drawn relative to the empty-network threshold."""
+    rng = np.random.default_rng(20240801)
+    for idx in range(count):
+        n = int(rng.integers(5, 51))
+        types = random_types(rng, n)
+        spec = FAMILIES[idx % 3]
+        c = float(rng.uniform(0.5, 2.0))
+        k = float(rng.uniform(0.02, 1.2)) * k_tilde(GameParams(types, c, 1.0, spec))
+        yield GameParams(types, c, k, spec)
+
+
 # the best-response search at its two breadths (P, L) as functions of n:
 # every opponent and any number of links, an exact search, and the receivers
 # plus the 4 largest providers with at most 3 links, the structural one

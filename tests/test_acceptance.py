@@ -19,7 +19,7 @@ from netpublic import BenefitSpec, GameParams, StrategyProfile, TruncNormal, UNI
 from netpublic.cli import main as cli_main
 from netpublic.metrics import welfare
 from netpublic.model import EPS_NUM
-from tests.conftest import gross_utilities, subset_matrix
+from tests.conftest import criterion_1_games, gross_utilities, subset_matrix
 
 
 @contextmanager
@@ -59,17 +59,9 @@ def _floor_gap(prof: StrategyProfile, params: GameParams) -> float:
 def _ensure_criterion1():
     if "c1" in _CACHE:
         return _CACHE["c1"]
-    rng = np.random.default_rng(20240801)
     reports = []
     worst = 0.0
-    for idx in range(200):
-        n = int(rng.integers(5, 51))
-        types = np.array(sorted([0.0] + list(rng.uniform(size=n - 2)) + [1.0]))
-        spec = _FAMILIES[idx % 3]
-        c = float(rng.uniform(0.5, 2.0))
-        probe = GameParams(types, c, 1.0, spec)
-        k = float(rng.uniform(0.02, 1.2)) * npub.k_tilde(probe)
-        params = GameParams(types, c, k, spec)
+    for params in criterion_1_games():
         built = npub.construct_independent(params)
         worst = max(worst, _floor_gap(built, params))
         prof, report = npub.welfare_max_equilibrium(params)
